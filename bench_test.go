@@ -237,21 +237,21 @@ func BenchmarkConsensusFromBFH(b *testing.B) {
 // ---- ablations: the design choices DESIGN.md calls out --------------------
 
 func BenchmarkAblation_KeyCompression(b *testing.B) {
-	// §IX: raw vs compressed keys. Compression trades per-split encode CPU
-	// for smaller key storage; the win grows with n.
+	// §IX: raw (open-addressing) vs compressed (succinct) keys.
+	// Compression trades per-split encode CPU for smaller key storage; the
+	// win grows with n.
 	for _, n := range []int{100, 500} {
 		d := load(b, dataset.VariableTaxa(n), 128)
-		for _, compress := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d/raw", n)
-			if compress {
-				name = fmt.Sprintf("n=%d/compressed", n)
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, kc := range []struct {
+			label   string
+			backend core.Backend
+		}{{"raw", core.BackendOpenAddressing}, {"compressed", core.BackendSuccinct}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, kc.label), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					h, err := core.Build(collection.FromTrees(d.trees), d.taxa, core.BuildOptions{
 						RequireComplete: true,
-						CompressKeys:    compress,
+						Backend:         kc.backend,
 					})
 					if err != nil {
 						b.Fatal(err)

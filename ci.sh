@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # ci.sh — one-command tier-1 verification.
 #
-#   ./ci.sh            gofmt + doc gate + vet + build + tests + race (fast
-#                      subset, incl. the distrib failover/health tests) +
-#                      fuzz smoke + admin smoke + snapshot round-trip smoke
+#   ./ci.sh            gofmt + doc gate + vet (root and perfbench) + build +
+#                      tests + race (fast subset, incl. the distrib
+#                      failover/health tests) + fuzz smoke + admin smoke +
+#                      snapshot round-trip smoke
 #   CI_PERF=1 ./ci.sh  additionally gate the perf sweep against BENCH_0005.json
 #
 # The perf gate is opt-in because wall-clock measurements on a loaded CI
@@ -25,6 +26,10 @@ go run ./internal/doclint/cmd/doclint .
 
 echo "== go vet =="
 go vet ./...
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# vet and build skip it; vet it here so an API break surfaces in CI
+# rather than only when the benchmark runs.
+(cd perfbench && go vet ./...)
 
 echo "== go build =="
 go build ./...
@@ -109,13 +114,13 @@ go build -o "$tmpdir/tracevet" ./cmd/tracevet
 "$tmpdir/tracevet" -min-traces 1 "$tmpdir/traces.jsonl"
 grep -q "slow query" "$tmpdir/trace.log" || { echo "ci.sh: -slow-query 1ns produced no slow-query log line" >&2; exit 1; }
 
-echo "== snapshot round-trip smoke (save → load → identical answers, all backends) =="
+echo "== snapshot round-trip smoke (save → load → identical answers, both backends) =="
 # For each hash backend: build from the reference file and persist an
 # epoch, then answer the same queries from the loaded snapshot and from
 # the fresh build; outputs must be byte-identical.
 "$tmpdir/treegen" -n 24 -r 60 -seed 11 -out "$tmpdir/snaprefs.nwk"
 "$tmpdir/treegen" -n 24 -r 60 -seed 12 -queries 8 -moves 2 -out "$tmpdir/snapq.nwk"
-for backend in openaddr map succinct; do
+for backend in openaddr succinct; do
   snapdir="$tmpdir/snap-$backend"
   "$tmpdir/bfhrf" -ref "$tmpdir/snaprefs.nwk" -query "$tmpdir/snapq.nwk" -backend "$backend" \
     -save-bfh "$snapdir" -o "$tmpdir/built-$backend.tsv" >/dev/null
@@ -124,7 +129,7 @@ for backend in openaddr map succinct; do
   cmp "$tmpdir/built-$backend.tsv" "$tmpdir/loaded-$backend.tsv" \
     || { echo "ci.sh: $backend snapshot round trip changed the answers" >&2; exit 1; }
 done
-echo "snapshot smoke: save/load round trip byte-identical for all three backends"
+echo "snapshot smoke: save/load round trip byte-identical for both backends"
 
 echo "== serve overload smoke (tiny queue, concurrent hammer, shed + recover) =="
 # A standalone query service over the openaddr snapshot from above, with

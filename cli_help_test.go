@@ -34,7 +34,7 @@ func TestCLIHelpMentionsEveryFlag(t *testing.T) {
 	}{
 		{"bfhrf", append([]string{
 			"ref", "query", "cpus", "variant", "min-split", "max-split",
-			"intersect-taxa", "compress", "best", "annotate", "version",
+			"intersect-taxa", "best", "annotate", "version",
 			"query-cache", "query-cache-size", "query-cache-bytes",
 			"o", "checkpoint", "checkpoint-interval", "resume",
 			"skip-bad-trees", "bad-tree-log",
@@ -43,7 +43,7 @@ func TestCLIHelpMentionsEveryFlag(t *testing.T) {
 			"save-bfh", "load-bfh", "delta-add", "delta-retire", "compact-bfh",
 		}, append(sharedProfFlags, append(sharedLogFlags, sharedTraceFlags...)...)...)},
 		{"bfhrfd", append([]string{
-			"serve", "workers", "ref", "query", "compress", "chunk", "batch",
+			"serve", "workers", "ref", "query", "chunk", "batch",
 			"admin", "version",
 			"rpc-timeout", "retries", "partial-results", "health-interval",
 			"query-cache", "query-cache-size", "query-cache-bytes",
@@ -115,7 +115,7 @@ func TestCLIHelpFlagDescriptionsCurrent(t *testing.T) {
 		bin, substr string
 	}{
 		{"bfhrf", "clamped to the collection size"}, // -cpus is not a hard worker count
-		{"bfhrf", "map hash backend"},               // -compress implies the map backend
+		{"bfhrf", "losslessly compressed keys"},     // -backend succinct is the §IX key compression
 		{"bfhrf", "crash-safe resume"},              // -checkpoint is durable, not a cache
 		{"bfhrf", "fingerprint-verified"},           // -resume refuses foreign checkpoints
 		{"bfhrf", "atomic"},                         // -o never leaves partial output

@@ -93,18 +93,38 @@ func TestCLITreegenAndBfhrf(t *testing.T) {
 		t.Errorf("-best printed %d lines", n)
 	}
 
-	// Q=R default, variants, compression.
+	// Q=R default, variants, compressed keys.
 	for _, extra := range [][]string{
 		{},
 		{"-variant", "normalized"},
 		{"-variant", "info"},
-		{"-compress"},
+		{"-backend", "succinct"},
 		{"-min-split", "3"},
 	} {
 		args := append([]string{"-ref", refs}, extra...)
 		if _, stderr, err := run(t, "bfhrf", args...); err != nil {
 			t.Errorf("bfhrf %v: %v\n%s", extra, err, stderr)
 		}
+	}
+
+	// Every variant answers byte-identically on both hash backends.
+	for _, variant := range []string{"plain", "normalized", "weighted", "info"} {
+		var outs []string
+		for _, backend := range []string{"openaddr", "succinct"} {
+			stdout, stderr, err := run(t, "bfhrf", "-ref", refs, "-query", queries, "-variant", variant, "-backend", backend)
+			if err != nil {
+				t.Fatalf("bfhrf -variant %s -backend %s: %v\n%s", variant, backend, err, stderr)
+			}
+			outs = append(outs, stdout)
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("-variant %s: openaddr and succinct output differ:\n%s\nvs\n%s", variant, outs[0], outs[1])
+		}
+	}
+
+	// The retired map backend is refused, pointing at its replacement.
+	if _, stderr, err := run(t, "bfhrf", "-ref", refs, "-backend", "map"); err == nil || !strings.Contains(stderr, "succinct") {
+		t.Errorf("bfhrf -backend map: %v, stderr %q; want a failure naming succinct", err, stderr)
 	}
 }
 

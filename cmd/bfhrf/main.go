@@ -76,8 +76,7 @@ func main() {
 	flag.IntVar(&o.cfg.MinSplitSize, "min-split", 0, "drop bipartitions whose smaller side has fewer taxa")
 	flag.IntVar(&o.cfg.MaxSplitSize, "max-split", 0, "drop bipartitions whose smaller side has more taxa (0 = no bound)")
 	flag.BoolVar(&o.cfg.IntersectTaxa, "intersect-taxa", false, "variable-taxa mode: restrict all trees to their common taxa")
-	flag.BoolVar(&o.cfg.CompressKeys, "compress", false, "store losslessly compressed bipartition keys (lower memory; selects the map hash backend)")
-	flag.StringVar(&o.cfg.Backend, "backend", "auto", "hash backend: auto | openaddr | map | succinct")
+	flag.StringVar(&o.cfg.Backend, "backend", "auto", "hash backend: auto | openaddr | succinct (losslessly compressed keys, lower memory)")
 	flag.IntVar(&o.cfg.HashShards, "hash-shards", 0, "hash shard count, a power of two (0 = default; more shards = finer snapshot deltas)")
 	flag.StringVar(&o.saveDir, "save-bfh", "", "after building the hash from -ref, publish it as the next epoch of this snapshot directory")
 	flag.StringVar(&o.loadDir, "load-bfh", "", "load the hash from this snapshot directory instead of building from -ref")

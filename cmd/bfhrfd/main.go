@@ -85,7 +85,6 @@ func main() {
 		workers   = flag.String("workers", "", "coordinator mode: comma-separated worker addresses")
 		refPath   = flag.String("ref", "", "reference tree collection (coordinator mode)")
 		queryPath = flag.String("query", "", "query tree collection; defaults to -ref (coordinator mode)")
-		compress  = flag.Bool("compress", false, "store losslessly compressed bipartition keys on the shards (selects the map hash backend; coordinator mode)")
 		saveBfh   = flag.String("save-bfh", "", "after loading -ref, persist the cluster's shards as a worker-layout snapshot epoch in this directory (coordinator mode)")
 		loadBfh   = flag.String("load-bfh", "", "restore the cluster from the snapshot directory's current epoch instead of loading -ref (coordinator mode)")
 		chunk     = flag.Int("chunk", 512, "reference trees per load RPC (coordinator mode)")
@@ -220,7 +219,6 @@ func main() {
 			refPath:         *refPath,
 			queryPath:       *queryPath,
 			adminAddr:       *admin,
-			compress:        *compress,
 			chunk:           *chunk,
 			batch:           *batch,
 			rpcTimeout:      *rpcTimeout,
@@ -263,7 +261,7 @@ func main() {
 // meaningless on a worker (a worker receives its shard and its queries
 // over RPC). Worker mode rejects them instead of silently ignoring them.
 var coordinatorOnly = []string{
-	"ref", "query", "compress", "chunk", "batch",
+	"ref", "query", "chunk", "batch",
 	"rpc-timeout", "retries", "partial-results", "health-interval",
 	"query-cache", "query-cache-size", "query-cache-bytes",
 	"o", "checkpoint", "checkpoint-interval", "resume",
@@ -287,7 +285,7 @@ var batchOnly = []string{"query", "o", "checkpoint", "checkpoint-interval", "res
 // workerShardOnly lists the coordinator flags that additionally need a
 // worker cluster; standalone serve mode (no -workers) rejects them.
 var workerShardOnly = []string{
-	"ref", "compress", "chunk", "batch",
+	"ref", "chunk", "batch",
 	"rpc-timeout", "retries", "partial-results", "health-interval",
 	"query-cache", "query-cache-size", "query-cache-bytes",
 	"skip-bad-trees", "max-input-bytes", "save-bfh", "load-bfh",
@@ -368,6 +366,10 @@ func runWorker(addr, adminAddr string) int {
 	}
 	w := &distrib.Worker{}
 	go distrib.ServeWorker(l, w) //nolint:errcheck — terminates when l closes
+	// Catch signals before announcing readiness: a supervisor may signal
+	// as soon as it reads the line below.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "bfhrfd: worker serving on %s\n", l.Addr())
 	slog.Info("worker serving", "addr", l.Addr().String())
 
@@ -382,8 +384,6 @@ func runWorker(addr, adminAddr string) int {
 		slog.Info("admin serving", "addr", adm.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Fprintf(os.Stderr, "bfhrfd: %s, shutting down\n", s)
 	slog.Info("shutting down", "signal", s.String())
@@ -400,7 +400,6 @@ func runWorker(addr, adminAddr string) int {
 // coordConfig bundles the coordinator-mode flag values.
 type coordConfig struct {
 	workers, refPath, queryPath, adminAddr string
-	compress                               bool
 	chunk, batch                           int
 	rpcTimeout                             time.Duration
 	retries                                int
@@ -585,7 +584,7 @@ func runCoordinator(cfg coordConfig) int {
 		if err != nil {
 			return fail(err)
 		}
-		if err := coord.LoadContext(ctx, refs, ts, cfg.compress); err != nil {
+		if err := coord.LoadContext(ctx, refs, ts, false); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "bfhrfd: loaded references across %d workers\n", coord.NumWorkers())

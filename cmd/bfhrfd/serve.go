@@ -68,15 +68,17 @@ func runServeStandalone(adminAddr string, cfg serveConfig) int {
 		return fail(err)
 	}
 	defer adm.Shutdown() //nolint:errcheck — best-effort drain on exit
+	// Catch signals before announcing readiness: a supervisor may signal
+	// as soon as it reads the lines below.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	fmt.Fprintf(os.Stderr, "bfhrfd: admin serving on %s\n", adm.Addr())
 	fmt.Fprintf(os.Stderr, "bfhrfd: serving %d collection(s) over HTTP\n", len(cat.List()))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	soft := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	go func() {
 		s := <-sig
 		fmt.Fprintf(os.Stderr, "bfhrfd: %s: draining — finishing in-flight queries (signal again to abort)\n", s)

@@ -66,8 +66,6 @@ type Stats struct {
 	TotalBipartitions uint64
 	// Weighted reports whether every reference split carried a length.
 	Weighted bool
-	// Compressed reports whether keys are stored compressed (§IX).
-	Compressed bool
 }
 
 // Stats returns the hash summary.
@@ -78,7 +76,6 @@ func (h *Hash) Stats() Stats {
 		UniqueBipartitions: h.h.UniqueBipartitions(),
 		TotalBipartitions:  h.h.TotalBipartitions(),
 		Weighted:           h.h.Weighted(),
-		Compressed:         h.h.Compressed(),
 	}
 }
 

@@ -46,8 +46,7 @@ func (s *Store) Delta(add, retire []*tree.Tree, filter bipart.Filter, requireCom
 
 	// Mark the shards every touched bipartition lands in before mutating
 	// anything: over-marking merely rewrites an extra part, under-marking
-	// would publish stale storage. The map backend is a single logical
-	// shard, so any change dirties it.
+	// would publish stale storage.
 	ex := &bipart.Extractor{Taxa: h.Taxa(), RequireComplete: requireComplete, Filter: filter}
 	mark := func(t *tree.Tree) error {
 		bs, err := ex.Extract(t)

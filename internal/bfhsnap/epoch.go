@@ -55,7 +55,6 @@ type Manifest struct {
 	Epoch      int    `json:"epoch"`
 	Layout     string `json:"layout"`
 	Backend    string `json:"backend"`
-	Compressed bool   `json:"compressed"`
 	Weighted   bool   `json:"weighted"`
 	Trees      int    `json:"trees"`
 	Sum        uint64 `json:"sum"`
@@ -224,6 +223,9 @@ func (s *Store) Manifest(n int) (*Manifest, error) {
 	}
 	if m.Layout != LayoutTable && m.Layout != LayoutWorker {
 		return nil, fmt.Errorf("bfhsnap: epoch %d has unknown layout %q", n, m.Layout)
+	}
+	if m.Backend == retiredMapBackend {
+		return nil, fmt.Errorf("bfhsnap: epoch %d manifest backend %q: %s", n, m.Backend, retiredMapGuidance)
 	}
 	if len(m.Parts) == 0 {
 		return nil, fmt.Errorf("bfhsnap: epoch %d manifest lists no parts", n)
@@ -395,7 +397,6 @@ func manifestFor(h *core.FreqHash) *Manifest {
 	return &Manifest{
 		Layout:      LayoutTable,
 		Backend:     h.Backend().String(),
-		Compressed:  h.Compressed(),
 		Weighted:    h.Weighted(),
 		Trees:       h.NumTrees(),
 		Sum:         h.TotalBipartitions(),

@@ -1,17 +1,17 @@
 // Package bfhsnap persists the bipartition frequency hash: a durable,
-// CRC-protected on-disk snapshot format for all three BFH backends, plus
+// CRC-protected on-disk snapshot format for both BFH backends, plus
 // an epoch-versioned store with copy-on-write delta builds so a live
 // reference collection can grow (or retire trees) while queries keep
 // flowing against a pinned epoch.
 //
 // A snapshot stream is the byte-level format specified in FORMATS.md: an
 // 8-byte magic, a sequence of framed sections (header, optional succinct
-// dictionary, one section per table shard or one entry stream for the map
-// backend), and a footer carrying a whole-file digest. Shard sections hold
-// the tables' slot arrays verbatim, so a load installs them wholesale via
-// bfhtable's restore paths — one validation pass, no per-entry re-insert —
-// and the weighted totals are carried as exact float64 bits, making a
-// save/load round trip bit-identical.
+// dictionary, one section per table shard), and a footer carrying a
+// whole-file digest. Shard sections hold the tables' slot arrays
+// verbatim, so a load installs them wholesale via bfhtable's restore
+// paths — one validation pass, no per-entry re-insert — and the weighted
+// totals are carried as exact float64 bits, making a save/load round trip
+// bit-identical.
 //
 // The epoch store lays snapshots out as snap/epoch-NNNNNN/ directories
 // published by directory rename with a CURRENT pointer, so a crash never
@@ -40,27 +40,36 @@ const FormatVersion = 1
 
 // Section kinds (FORMATS.md "Section catalogue").
 const (
-	secHeader     = 1   // stream header: version, backend, totals, taxa
-	secDict       = 2   // succinct shared-prefix dictionary
-	secOAShard    = 3   // one open-addressing shard's slot arrays
-	secSuccShard  = 4   // one succinct shard's slot arrays + key arena
-	secMapEntries = 5   // map backend: fixed-width entry stream
-	secFooter     = 255 // section count + whole-file digest
+	secHeader    = 1   // stream header: version, backend, totals, taxa
+	secDict      = 2   // succinct shared-prefix dictionary
+	secOAShard   = 3   // one open-addressing shard's slot arrays
+	secSuccShard = 4   // one succinct shard's slot arrays + key arena
+	secFooter    = 255 // section count + whole-file digest
 )
 
 // Backend codes in the header (decoupled from core.Backend's iota, which
 // is an in-memory enum free to reorder).
 const (
-	backendMapCode  = 0
 	backendOACode   = 1
 	backendSuccCode = 2
 )
 
 // Header flag bits.
 const (
-	flagWeighted   = 1 << 0
-	flagCompressed = 1 << 1
-	flagFrozen     = 1 << 2
+	flagWeighted = 1 << 0
+	flagFrozen   = 1 << 2
+)
+
+// Retired map-backend encodings (FORMATS.md "Retired codes"): backend
+// code 0, header flag bit 1 (compressed map keys) and section kind 5 (the
+// map entry stream). Readers reject them with an error naming the removed
+// backend; nothing writes them.
+const (
+	retiredMapCode     = 0
+	retiredMapFlag     = 1 << 1
+	retiredMapSection  = 5
+	retiredMapBackend  = "map"
+	retiredMapGuidance = "the map hash backend was removed; rebuild the hash (its compressed keys are now the succinct backend)"
 )
 
 // Format limits. Section payloads are additionally bounded by the
@@ -86,7 +95,6 @@ type Header struct {
 	Version   int
 	Backend   core.Backend
 	Weighted  bool
-	Comp      bool // §IX compressed map keys
 	Frozen    bool // succinct dictionary built (a dict section follows)
 	Shards    int  // total shard count of the hash
 	ShardFrom int  // first shard in this stream
@@ -99,8 +107,6 @@ type Header struct {
 
 func backendCode(b core.Backend) (byte, error) {
 	switch b {
-	case core.BackendMap:
-		return backendMapCode, nil
 	case core.BackendOpenAddressing:
 		return backendOACode, nil
 	case core.BackendSuccinct:
@@ -111,8 +117,8 @@ func backendCode(b core.Backend) (byte, error) {
 
 func backendFromCode(c byte) (core.Backend, error) {
 	switch c {
-	case backendMapCode:
-		return core.BackendMap, nil
+	case retiredMapCode:
+		return 0, fmt.Errorf("bfhsnap: backend code %d: %s", c, retiredMapGuidance)
 	case backendOACode:
 		return core.BackendOpenAddressing, nil
 	case backendSuccCode:
@@ -130,9 +136,6 @@ func encodeHeader(h *Header) ([]byte, error) {
 	var flags byte
 	if h.Weighted {
 		flags |= flagWeighted
-	}
-	if h.Comp {
-		flags |= flagCompressed
 	}
 	if h.Frozen {
 		flags |= flagFrozen
@@ -169,11 +172,13 @@ func decodeHeader(p []byte) (*Header, error) {
 		return nil, err
 	}
 	flags := p[3]
-	if flags&^(flagWeighted|flagCompressed|flagFrozen) != 0 {
+	if flags&retiredMapFlag != 0 {
+		return nil, fmt.Errorf("bfhsnap: header flag %#x (compressed map keys): %s", retiredMapFlag, retiredMapGuidance)
+	}
+	if flags&^(flagWeighted|flagFrozen) != 0 {
 		return nil, fmt.Errorf("bfhsnap: unknown header flags %#x", flags)
 	}
 	h.Weighted = flags&flagWeighted != 0
-	h.Comp = flags&flagCompressed != 0
 	h.Frozen = flags&flagFrozen != 0
 	h.Shards = int(binary.LittleEndian.Uint32(p[4:]))
 	h.ShardFrom = int(binary.LittleEndian.Uint32(p[8:]))
@@ -191,8 +196,6 @@ func decodeHeader(p []byte) (*Header, error) {
 		return nil, fmt.Errorf("bfhsnap: header declares %d trees", h.Trees)
 	case nTaxa < 1 || nTaxa > maxTaxa:
 		return nil, fmt.Errorf("bfhsnap: header declares %d taxa", nTaxa)
-	case h.Comp && h.Backend != core.BackendMap:
-		return nil, fmt.Errorf("bfhsnap: compressed keys with backend %v", h.Backend)
 	case h.Frozen && h.Backend != core.BackendSuccinct:
 		return nil, fmt.Errorf("bfhsnap: frozen flag with backend %v", h.Backend)
 	}
@@ -228,8 +231,6 @@ func (h *Header) sameHash(o *Header) error {
 		return fmt.Errorf("bfhsnap: part version %d vs %d", o.Version, h.Version)
 	case h.Backend != o.Backend:
 		return fmt.Errorf("bfhsnap: part backend %v vs %v", o.Backend, h.Backend)
-	case h.Comp != o.Comp:
-		return fmt.Errorf("bfhsnap: part key compression mismatch")
 	case h.Shards != o.Shards:
 		return fmt.Errorf("bfhsnap: part declares %d shards vs %d", o.Shards, h.Shards)
 	case len(h.TaxaNames) != len(o.TaxaNames):

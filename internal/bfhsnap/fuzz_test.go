@@ -12,7 +12,10 @@ import (
 // decoder must reject corruption with an error — never panic, never
 // over-allocate past the stream's own size — and any stream it does
 // accept must produce a structurally sound hash. The seed corpus holds a
-// valid stream per backend plus truncations and bit flips of each.
+// valid stream per backend plus truncations and bit flips of each, and a
+// stream per retired map-backend encoding (see retiredMapStreams); the
+// pinned corpus under testdata/fuzz adds a map-backend part file written
+// before that backend was removed.
 func FuzzSnapshot(f *testing.F) {
 	trees, ts := testCollection(21, 40, 12)
 	for _, b := range allBackends {
@@ -33,6 +36,9 @@ func FuzzSnapshot(f *testing.F) {
 		flipped := append([]byte(nil), good...)
 		flipped[len(flipped)/2] ^= 0x40
 		f.Add(flipped)
+	}
+	for _, rs := range retiredMapStreams(f) {
+		f.Add(rs.data)
 	}
 	f.Add([]byte(Magic))
 	f.Add([]byte{})

@@ -63,7 +63,7 @@ func sameVector(t *testing.T, got, want []float64, what string) {
 	}
 }
 
-var allBackends = []core.Backend{core.BackendOpenAddressing, core.BackendSuccinct, core.BackendMap}
+var allBackends = []core.Backend{core.BackendOpenAddressing, core.BackendSuccinct}
 
 func TestStreamRoundTrip(t *testing.T) {
 	trees, ts := testCollection(1, 40, 60)
@@ -305,10 +305,7 @@ func TestDeltaEquivalence(t *testing.T) {
 	const n, base, extra = 13, 120, 1
 	trees, ts := testCollection(8, n, base+extra)
 	for _, b := range allBackends {
-		shards := 256
-		if b == core.BackendMap {
-			shards = 1
-		}
+		const shards = 256
 		baseHash := buildOn(t, b, trees[:base], ts, shards)
 		dir := t.TempDir()
 		s, err := Open(dir)
@@ -326,7 +323,7 @@ func TestDeltaEquivalence(t *testing.T) {
 		if res.Epoch != 2 || res.Base != 1 {
 			t.Fatalf("%v: delta published %+v", b, res)
 		}
-		if b != core.BackendMap && res.PartsLinked == 0 {
+		if res.PartsLinked == 0 {
 			t.Errorf("%v: small delta rewrote every part (%d written, %d linked)", b, res.PartsWritten, res.PartsLinked)
 		}
 

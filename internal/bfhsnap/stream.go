@@ -126,7 +126,6 @@ func headerFor(h *core.FreqHash, from, to int) *Header {
 		Version:   FormatVersion,
 		Backend:   h.Backend(),
 		Weighted:  h.Weighted(),
-		Comp:      h.Compressed(),
 		Frozen:    h.Succinct() != nil && h.Succinct().Frozen(),
 		Shards:    h.NumShards(),
 		ShardFrom: from,
@@ -158,15 +157,7 @@ func WriteStream(w io.Writer, h *core.FreqHash, from, to int) (int64, error) {
 	if err := sw.section(secHeader, hp); err != nil {
 		return sw.n, err
 	}
-	switch {
-	case h.OpenAddr() != nil:
-		for s := from; s < to; s++ {
-			if err := writeOAShard(sw, h.OpenAddr(), s); err != nil {
-				return sw.n, err
-			}
-		}
-	case h.Succinct() != nil:
-		st := h.Succinct()
+	if st := h.Succinct(); st != nil {
 		if st.Frozen() {
 			if err := sw.section(secDict, encodeDict(st.DictEntries())); err != nil {
 				return sw.n, err
@@ -177,9 +168,11 @@ func WriteStream(w io.Writer, h *core.FreqHash, from, to int) (int64, error) {
 				return sw.n, err
 			}
 		}
-	default:
-		if err := writeMapEntries(sw, h); err != nil {
-			return sw.n, err
+	} else {
+		for s := from; s < to; s++ {
+			if err := writeOAShard(sw, h.OpenAddr(), s); err != nil {
+				return sw.n, err
+			}
 		}
 	}
 	if err := sw.footer(); err != nil {
@@ -254,46 +247,6 @@ func writeSuccShard(sw *sectionWriter, t *bfhtable.SuccinctTable, s int) error {
 		return err
 	}
 	return sw.end(secSuccShard)
-}
-
-// writeMapEntries serializes the map backend as a fixed-width entry
-// stream: count entries of (nw key words, freq, size, length-sum bits).
-func writeMapEntries(sw *sectionWriter, h *core.FreqHash) error {
-	nw := (h.Taxa().Len() + 63) / 64
-	count := h.UniqueBipartitions()
-	stride := nw*8 + entrySize
-	if err := sw.begin(secMapEntries, 8+count*stride); err != nil {
-		return err
-	}
-	var hd [8]byte
-	binary.LittleEndian.PutUint32(hd[4:], uint32(count))
-	if err := sw.chunk(secMapEntries, hd[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, stride)
-	wrote := 0
-	var werr error
-	err := h.RangeShardRaw(0, func(words []uint64, e bfhtable.Entry) bool {
-		for i, w := range words {
-			binary.LittleEndian.PutUint64(buf[i*8:], w)
-		}
-		encodeEntry(buf[nw*8:], e)
-		if werr = sw.chunk(secMapEntries, buf); werr != nil {
-			return false
-		}
-		wrote++
-		return true
-	})
-	if err != nil {
-		return fmt.Errorf("bfhsnap: %w", err)
-	}
-	if werr != nil {
-		return werr
-	}
-	if wrote != count {
-		return fmt.Errorf("bfhsnap: map backend yielded %d entries, expected %d", wrote, count)
-	}
-	return sw.end(secMapEntries)
 }
 
 func encodeDict(dict [][]byte) []byte {
@@ -437,11 +390,10 @@ func (sr *sectionReader) checkFooter(p []byte) error {
 // ranges together must cover every shard exactly once. Totals default to
 // the first stream's header and can be overridden from an epoch MANIFEST.
 type Loader struct {
-	hdr  *Header
-	ts   *taxa.Set
-	oa   *bfhtable.Table
-	st   *bfhtable.SuccinctTable
-	rest *core.Restorer
+	hdr *Header
+	ts  *taxa.Set
+	oa  *bfhtable.Table
+	st  *bfhtable.SuccinctTable
 
 	trees    int
 	sum      uint64
@@ -464,20 +416,10 @@ func NewLoader(hdr *Header) (*Loader, error) {
 		trees: hdr.Trees, sum: hdr.Sum, lenSum: hdr.LenSum, weighted: hdr.Weighted,
 		covered: make([]bool, hdr.Shards),
 	}
-	nw := (ts.Len() + 63) / 64
-	switch hdr.Backend {
-	case core.BackendOpenAddressing:
-		l.oa = bfhtable.New(nw, hdr.Shards)
-	case core.BackendSuccinct:
+	if hdr.Backend == core.BackendSuccinct {
 		l.st = bfhtable.NewSuccinct(ts.Len(), hdr.Shards)
-	default:
-		l.rest, err = core.NewRestorer(core.RestoreSpec{
-			Taxa: ts, NumTrees: hdr.Trees, Weighted: hdr.Weighted,
-			CompressKeys: hdr.Comp, Backend: core.BackendMap,
-		})
-		if err != nil {
-			return nil, err
-		}
+	} else {
+		l.oa = bfhtable.New((ts.Len()+63)/64, hdr.Shards)
 	}
 	return l, nil
 }
@@ -547,10 +489,8 @@ func (l *Loader) readSections(sr *sectionReader, hdr *Header) error {
 			if err := l.installSuccShard(hdr, payload); err != nil {
 				return err
 			}
-		case secMapEntries:
-			if err := l.installMapEntries(hdr, payload); err != nil {
-				return err
-			}
+		case retiredMapSection:
+			return fmt.Errorf("bfhsnap: section kind %d (map entry stream): %s", kind, retiredMapGuidance)
 		case secFooter:
 			if err := sr.checkFooter(payload); err != nil {
 				return err
@@ -651,37 +591,6 @@ func (l *Loader) installSuccShard(hdr *Header, p []byte) error {
 	return nil
 }
 
-func (l *Loader) installMapEntries(hdr *Header, p []byte) error {
-	if l.rest == nil {
-		return fmt.Errorf("bfhsnap: map entry section for backend %v", l.hdr.Backend)
-	}
-	if len(p) < 8 {
-		return fmt.Errorf("bfhsnap: entry section is %d bytes", len(p))
-	}
-	s := int(binary.LittleEndian.Uint32(p[0:]))
-	count := int(binary.LittleEndian.Uint32(p[4:]))
-	nw := (l.ts.Len() + 63) / 64
-	stride := nw*8 + entrySize
-	if count < 0 || len(p) != 8+count*stride {
-		return fmt.Errorf("bfhsnap: entry section is %d bytes for %d entries", len(p), count)
-	}
-	if err := l.claimShard(hdr, s); err != nil {
-		return err
-	}
-	words := make([]uint64, nw)
-	q := p[8:]
-	for i := 0; i < count; i++ {
-		rec := q[i*stride:]
-		for j := range words {
-			words[j] = binary.LittleEndian.Uint64(rec[j*8:])
-		}
-		if err := l.rest.AddEntry(words, decodeEntry(rec[nw*8:])); err != nil {
-			return fmt.Errorf("bfhsnap: %w", err)
-		}
-	}
-	return nil
-}
-
 // Finish validates coverage and adopts the assembled storage as a
 // FreqHash, cross-checking the totals and restoring the exact weighted
 // sums the saved hash held.
@@ -692,22 +601,15 @@ func (l *Loader) Finish() (*core.FreqHash, error) {
 		}
 	}
 	spec := core.RestoreSpec{Taxa: l.ts, NumTrees: l.trees, Weighted: l.weighted}
-	switch {
-	case l.oa != nil:
-		spec.Backend = core.BackendOpenAddressing
-		return core.AdoptTable(spec, l.oa, l.sum, l.lenSum)
-	case l.st != nil:
+	if l.st != nil {
 		if l.hdr.Frozen && !l.gotDict {
 			return nil, fmt.Errorf("bfhsnap: frozen snapshot carries no dictionary section")
 		}
 		spec.Backend = core.BackendSuccinct
 		return core.AdoptSuccinct(spec, l.st, l.sum, l.lenSum)
-	default:
-		if err := l.rest.OverrideTotals(l.trees, l.sum, l.lenSum); err != nil {
-			return nil, err
-		}
-		return l.rest.Finish()
 	}
+	spec.Backend = core.BackendOpenAddressing
+	return core.AdoptTable(spec, l.oa, l.sum, l.lenSum)
 }
 
 // ReadHeader decodes just the header section of a stream.

@@ -76,7 +76,7 @@ func (b Bipartition) Key() string { return b.mask.Key() }
 
 // AppendKey appends the Key() bytes to dst and returns the extended slice,
 // allocating only when dst lacks capacity — the scratch-buffer probe path
-// of the legacy map backend.
+// of the dict-based hash baseline (internal/experiments).
 func (b Bipartition) AppendKey(dst []byte) []byte { return b.mask.AppendKey(dst) }
 
 // CompactKey returns the losslessly compressed collision-free key — the
@@ -195,7 +195,7 @@ type Extractor struct {
 	// steady state. The returned bipartitions (and their masks) are then
 	// valid only until the next Extract call: callers must copy anything
 	// they retain (the BFH backends do — the open-addressing table copies
-	// words into its arena, the map backend copies bytes into keys) and
+	// words into its arena, the succinct table encodes them into its) and
 	// Filter hooks must not hold on to the masks they see. Engines that
 	// keep bipartition sets resident (seqrf, consensus) must leave this
 	// off.

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/bfhtable"
 	"repro/internal/bipart"
+	"repro/internal/taxa"
 )
 
 // This file holds the build-phase plumbing shared by the tree-object path
@@ -19,20 +20,16 @@ const autoSuccinctKeyBytes = 256
 // resolveBackendFor picks the concrete engine for the build options over
 // a catalogue of nTaxa taxa.
 func (o BuildOptions) resolveBackendFor(nTaxa int) Backend {
-	b := o.Backend
-	if b == BackendAuto {
-		if o.CompressKeys {
-			return BackendMap
-		}
+	if o.Backend == BackendAuto {
 		if ((nTaxa+63)/64)*8 >= autoSuccinctKeyBytes {
 			return BackendSuccinct
 		}
 		return BackendOpenAddressing
 	}
-	return b
+	return o.Backend
 }
 
-// shardCount picks the open-addressing shard count: explicit HashShards,
+// shardCount picks the table shard count: explicit HashShards,
 // else one shard per build worker so worker-local tables merge with full
 // shard parallelism (bfhtable clamps to a power of two in [1, 256]).
 func (o BuildOptions) shardCount(workers int) int {
@@ -42,113 +39,83 @@ func (o BuildOptions) shardCount(workers int) int {
 	return workers
 }
 
-// buildAccum is one build worker's backend-local accumulator: a private
-// map or a private sharded table, plus the tallies folded into the hash
-// once at the end. No locks anywhere on the insert path.
+// buildAccum is one build worker's accumulator: a private sharded table
+// of the hash's engine, plus the tallies folded into the hash once at the
+// end. No locks anywhere on the insert path.
 type buildAccum struct {
-	local    map[string]entry
-	tbl      *bfhtable.Table
-	stbl     *bfhtable.SuccinctTable
+	tbl      store
 	weighted bool
 	lenSum   float64
 	trees    int
 	bips     int
 }
 
-// newBuildAccum returns a worker accumulator for h's backend. wordsPerKey
-// and shards only matter for the table engines.
-func newBuildAccum(h *FreqHash, wordsPerKey, shards int) *buildAccum {
-	a := &buildAccum{weighted: true}
-	switch {
-	case h.oa != nil:
-		a.tbl = bfhtable.New(wordsPerKey, shards)
-	case h.st != nil:
-		a.stbl = bfhtable.NewSuccinct(h.taxa.Len(), shards)
-	default:
-		a.local = make(map[string]entry)
-	}
-	return a
+// newBuildAccum returns a worker accumulator on backend b.
+func newBuildAccum(b Backend, ts *taxa.Set, shards int) *buildAccum {
+	return &buildAccum{tbl: newStore(b, ts, shards), weighted: true}
 }
 
 // add folds one extracted tree's bipartitions.
-func (a *buildAccum) add(h *FreqHash, bs []bipart.Bipartition) {
+func (a *buildAccum) add(bs []bipart.Bipartition) {
 	a.trees++
 	a.bips += len(bs)
-	if a.tbl != nil {
-		for _, b := range bs {
-			length := 0.0
-			if b.HasLength {
-				length = b.Length
-			} else {
-				a.weighted = false
-			}
-			a.tbl.Add(b.Words(), uint32(b.Size()), length)
-			a.lenSum += length
-		}
-		return
-	}
-	if a.stbl != nil {
-		for _, b := range bs {
-			length := 0.0
-			if b.HasLength {
-				length = b.Length
-			} else {
-				a.weighted = false
-			}
-			a.stbl.Add(b.Words(), uint32(b.Size()), length)
-			a.lenSum += length
-		}
-		return
-	}
 	for _, b := range bs {
-		k := h.keyOf(b)
-		e := a.local[k]
-		e.Freq++
-		e.Size = uint32(b.Size())
+		length := 0.0
 		if b.HasLength {
-			e.LengthSum += b.Length
+			length = b.Length
 		} else {
 			a.weighted = false
 		}
-		a.local[k] = e
+		a.tbl.Add(b.Words(), uint32(b.Size()), length)
+		a.lenSum += length
 	}
 }
 
-// finishBuild folds every worker accumulator into the hash. Map-backend
-// locals fold serially (the legacy ablation baseline); both table
-// backends merge shard-parallel. The merged succinct table is frozen
-// here — the one point where the whole key population exists, so the
-// shared-prefix dictionary is minted once, deterministically. Returns the
-// total bipartition instances folded, for the build metrics.
+// finishBuild merges every worker accumulator into the hash,
+// shard-parallel. A merged succinct table is frozen here — the one point
+// where the whole key population exists, so the shared-prefix dictionary
+// is minted once, deterministically. Returns the total bipartition
+// instances folded, for the build metrics.
 func (h *FreqHash) finishBuild(accums []*buildAccum) int {
 	bips := 0
-	var tbls []*bfhtable.Table
-	var stbls []*bfhtable.SuccinctTable
+	parts := make([]store, 0, len(accums))
 	for _, a := range accums {
 		h.numTrees += a.trees
+		h.sum += uint64(a.bips)
+		h.lenSum += a.lenSum
 		bips += a.bips
 		if !a.weighted {
 			h.weighted = false
 		}
-		switch {
-		case a.tbl != nil:
-			tbls = append(tbls, a.tbl)
-			h.sum += uint64(a.bips)
-			h.lenSum += a.lenSum
-		case a.stbl != nil:
-			stbls = append(stbls, a.stbl)
-			h.sum += uint64(a.bips)
-			h.lenSum += a.lenSum
-		default:
-			h.merge(a.local)
-		}
+		parts = append(parts, a.tbl)
 	}
-	if tbls != nil {
-		h.oa = bfhtable.Merge(tbls)
-	}
-	if stbls != nil {
-		h.st = bfhtable.MergeSuccinct(stbls)
-		h.st.Freeze()
-	}
+	h.tbl = mergeStores(parts)
+	freeze(h.tbl)
 	return bips
+}
+
+// mergeStores consumes same-engine worker tables into one.
+func mergeStores(parts []store) store {
+	switch parts[0].(type) {
+	case *bfhtable.SuccinctTable:
+		ts := make([]*bfhtable.SuccinctTable, len(parts))
+		for i, p := range parts {
+			ts[i] = p.(*bfhtable.SuccinctTable)
+		}
+		return bfhtable.MergeSuccinct(ts)
+	default:
+		ts := make([]*bfhtable.Table, len(parts))
+		for i, p := range parts {
+			ts[i] = p.(*bfhtable.Table)
+		}
+		return bfhtable.Merge(ts)
+	}
+}
+
+// freeze mints a succinct table's shared-prefix dictionary over its full
+// key population; open-addressing tables have nothing to freeze.
+func freeze(s store) {
+	if st, ok := s.(*bfhtable.SuccinctTable); ok {
+		st.Freeze()
+	}
 }

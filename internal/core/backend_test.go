@@ -2,25 +2,26 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
 	"repro/internal/taxa"
 )
 
-// The backend-equivalence property: the open-addressing table, the
-// succinct table, and the legacy map must be observationally identical —
-// byte-identical Entries output and identical AverageRF across every
-// variant — on randomized tree collections. Branch lengths in
-// randomCollection are unit, so even the weighted sums are exact in
-// floating point regardless of fold order.
+// The backend-equivalence property: the open-addressing table and the
+// succinct table must be observationally identical — byte-identical
+// Entries output and identical AverageRF across every variant — on
+// randomized tree collections. Branch lengths in randomCollection are
+// unit, so even the weighted sums are exact in floating point regardless
+// of fold order.
 
-// equivBackends builds the same collection on all three backends with the
-// given worker count; the map hash is first (the reference fold).
+// equivBackends builds the same collection on both backends with the
+// given worker count; the open-addressing hash is the reference fold.
 func equivBackends(t *testing.T, src collection.Source, ts *taxa.Set, workers int) map[Backend]*FreqHash {
 	t.Helper()
-	hs := make(map[Backend]*FreqHash, 3)
-	for _, b := range []Backend{BackendMap, BackendOpenAddressing, BackendSuccinct} {
+	hs := make(map[Backend]*FreqHash, 2)
+	for _, b := range []Backend{BackendOpenAddressing, BackendSuccinct} {
 		h, err := Build(src, ts, BuildOptions{RequireComplete: true, Workers: workers, Backend: b})
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
@@ -42,8 +43,8 @@ func TestBackendsEquivalent(t *testing.T) {
 		src := collection.FromTrees(trees)
 
 		hs := equivBackends(t, src, ts, 1)
-		mp := hs[BackendMap]
-		for _, b := range []Backend{BackendOpenAddressing, BackendSuccinct} {
+		mp := hs[BackendOpenAddressing]
+		for _, b := range []Backend{BackendSuccinct} {
 			h := hs[b]
 			if h.UniqueBipartitions() != mp.UniqueBipartitions() ||
 				h.TotalBipartitions() != mp.TotalBipartitions() {
@@ -78,7 +79,7 @@ func TestBackendsEquivalent(t *testing.T) {
 
 			// AverageRF: identical across every variant (unit lengths make
 			// the weighted sums exact, so == is the right comparison).
-			for _, v := range []Variant{Plain, Normalized, Weighted} {
+			for _, v := range []Variant{Plain, Normalized, Weighted, Info} {
 				rh, err := h.AverageRF(src, QueryOptions{RequireComplete: true, Workers: 1, Variant: v})
 				if err != nil {
 					t.Fatal(err)
@@ -107,11 +108,11 @@ func TestBackendsEquivalentParallelBuild(t *testing.T) {
 	trees, ts := randomCollection(53, 80, 400)
 	src := collection.FromTrees(trees)
 	hs := equivBackends(t, src, ts, 6)
-	rm, err := hs[BackendMap].AverageRF(src, QueryOptions{RequireComplete: true, Variant: Plain})
+	rm, err := hs[BackendOpenAddressing].AverageRF(src, QueryOptions{RequireComplete: true, Variant: Plain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []Backend{BackendOpenAddressing, BackendSuccinct} {
+	for _, b := range []Backend{BackendSuccinct} {
 		rh, err := hs[b].AverageRF(src, QueryOptions{RequireComplete: true, Variant: Plain})
 		if err != nil {
 			t.Fatal(err)
@@ -126,8 +127,7 @@ func TestBackendsEquivalentParallelBuild(t *testing.T) {
 
 // TestBackendAutoSelection pins the defaulting rules: auto is
 // open-addressing below the succinct key-size threshold and succinct at
-// it, compressed keys force the map, and an explicit table backend +
-// CompressKeys request is an error.
+// it, and the retired map backend is refused by name.
 func TestBackendAutoSelection(t *testing.T) {
 	trees, ts := randomCollection(3, 16, 10)
 	src := collection.FromTrees(trees)
@@ -138,18 +138,8 @@ func TestBackendAutoSelection(t *testing.T) {
 	if h.Backend() != BackendOpenAddressing {
 		t.Fatalf("auto backend = %v, want openaddr", h.Backend())
 	}
-	h, err = Build(src, ts, BuildOptions{RequireComplete: true, CompressKeys: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Backend() != BackendMap {
-		t.Fatalf("auto+compressed backend = %v, want map", h.Backend())
-	}
-	if _, err := Build(src, ts, BuildOptions{RequireComplete: true, CompressKeys: true, Backend: BackendOpenAddressing}); err == nil {
-		t.Fatal("openaddr + CompressKeys did not error")
-	}
-	if _, err := Build(src, ts, BuildOptions{RequireComplete: true, CompressKeys: true, Backend: BackendSuccinct}); err == nil {
-		t.Fatal("succinct + CompressKeys did not error")
+	if _, err := ParseBackend("map"); err == nil || !strings.Contains(err.Error(), "succinct") {
+		t.Fatalf("ParseBackend(map) = %v, want an error naming succinct", err)
 	}
 	// At and past autoSuccinctKeyBytes of raw key, auto flips to succinct.
 	bigTrees, bigTS := randomCollection(5, 8*autoSuccinctKeyBytes, 4)
@@ -159,14 +149,6 @@ func TestBackendAutoSelection(t *testing.T) {
 	}
 	if h.Backend() != BackendSuccinct {
 		t.Fatalf("auto backend at n=%d = %v, want succinct", bigTS.Len(), h.Backend())
-	}
-	// CompressKeys still wins at huge n (the §IX ablation stays reachable).
-	h, err = Build(collection.FromTrees(bigTrees), bigTS, BuildOptions{RequireComplete: true, CompressKeys: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Backend() != BackendMap {
-		t.Fatalf("auto+compressed backend at n=%d = %v, want map", bigTS.Len(), h.Backend())
 	}
 }
 
@@ -198,13 +180,13 @@ func TestBackendIncrementalUpdates(t *testing.T) {
 			}
 		}
 	}
-	mp := hs[BackendMap]
+	mp := hs[BackendOpenAddressing]
 	all := collection.FromTrees(trees)
 	rm, err := mp.AverageRF(all, QueryOptions{RequireComplete: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []Backend{BackendOpenAddressing, BackendSuccinct} {
+	for _, b := range []Backend{BackendSuccinct} {
 		h := hs[b]
 		if h.UniqueBipartitions() != mp.UniqueBipartitions() ||
 			h.TotalBipartitions() != mp.TotalBipartitions() {

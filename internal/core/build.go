@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/bfhtable"
 	"repro/internal/bipart"
 	"repro/internal/collection"
 	"repro/internal/obs"
@@ -30,17 +29,13 @@ type BuildOptions struct {
 	// catalogue. On by default via Build; variable-taxa pipelines restrict
 	// trees first and keep this on for the reduced catalogue.
 	RequireComplete bool
-	// CompressKeys stores losslessly compressed bipartition keys (§IX),
-	// trading a little CPU per lookup for a smaller hash. Map backend only
-	// (the succinct backend compresses keys natively).
-	CompressKeys bool
 	// Backend selects the storage engine. BackendAuto (the zero value)
-	// picks the open-addressing table, the succinct table once raw keys
-	// reach autoSuccinctKeyBytes, or the map when CompressKeys is set.
+	// picks the open-addressing table, or the succinct table — the §IX
+	// lossless key compression — once raw keys reach
+	// autoSuccinctKeyBytes.
 	Backend Backend
-	// HashShards overrides the table backends' shard count (default: one
-	// shard per worker; rounded to a power of two in [1, 256]). Ignored by
-	// the map backend.
+	// HashShards overrides the table's shard count (default: one shard
+	// per worker; rounded to a power of two in [1, 256]).
 	HashShards int
 }
 
@@ -55,32 +50,15 @@ func (o BuildOptions) workers() int {
 // bipartition frequency hash. Trees are fanned out to Workers goroutines
 // that extract bipartitions into worker-local structures, merged at the
 // end — the "embarrassingly parallel at the tree level" structure of the
-// paper with no lock contention on the hot path. With the default
-// open-addressing backend the merge itself is parallel across hash shards.
+// paper with no lock contention on the hot path. The merge itself is
+// parallel across hash shards.
 func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, error) {
 	if ts == nil {
 		return nil, fmt.Errorf("core: taxon catalogue is required")
 	}
-	if (opts.Backend == BackendOpenAddressing || opts.Backend == BackendSuccinct) && opts.CompressKeys {
-		return nil, fmt.Errorf("core: compressed keys require the map backend")
-	}
 	_, span := obs.StartSpan(nil, SpanBuild)
 	defer span.End()
-	h := &FreqHash{
-		taxa:       ts,
-		weighted:   true,
-		compressed: opts.CompressKeys,
-	}
-	switch opts.resolveBackendFor(ts.Len()) {
-	case BackendOpenAddressing:
-		// Placeholder so h.oa != nil routes the build; replaced by the
-		// merged worker tables in finishBuild.
-		h.oa = bfhtable.New(wordsPerKey(ts), 1)
-	case BackendSuccinct:
-		h.st = bfhtable.NewSuccinct(ts.Len(), 1)
-	default:
-		h.m = make(map[string]entry)
-	}
+	h := &FreqHash{taxa: ts, weighted: true}
 	// Parallel-parse fast path: when the source hands out raw statements,
 	// workers parse as well as extract.
 	if rs, ok := rawCapable(r); ok {
@@ -98,7 +76,7 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 	}
 
 	workers := EffectiveWorkers(opts.workers(), sourceLen(r))
-	shards := opts.shardCount(workers)
+	backend, shards := opts.resolveBackendFor(ts.Len()), opts.shardCount(workers)
 	jobs := make(chan *tree.Tree, workers*2)
 	accums := make([]*buildAccum, workers)
 	errs := make([]error, workers)
@@ -114,7 +92,7 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 				Filter:          opts.Filter,
 				ReuseMasks:      true,
 			}
-			acc := newBuildAccum(h, wordsPerKey(ts), shards)
+			acc := newBuildAccum(backend, ts, shards)
 			for t := range jobs {
 				bs, err := ex.Extract(t)
 				if err != nil {
@@ -123,7 +101,7 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 					}
 					continue
 				}
-				acc.add(h, bs)
+				acc.add(bs)
 			}
 			accums[w] = acc
 		}(w)

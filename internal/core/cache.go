@@ -18,7 +18,8 @@ import (
 // Only the Plain and Normalized variants are cached: their results depend
 // on topology alone. Weighted results also depend on the query tree's
 // branch lengths, which the topology fingerprint deliberately ignores, so
-// weighted probes always take the uncached path.
+// weighted probes — like information-content ones — always take the
+// uncached path.
 //
 // The cache is safe for concurrent use: each shard holds its own mutex,
 // entry map, and intrusive LRU list, and every entry is written in full

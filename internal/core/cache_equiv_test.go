@@ -68,7 +68,7 @@ func equivConfigs() []equivConfig {
 	for _, b := range []struct {
 		name string
 		b    Backend
-	}{{"oa", BackendOpenAddressing}, {"map", BackendMap}, {"succ", BackendSuccinct}, {"auto", BackendAuto}} {
+	}{{"oa", BackendOpenAddressing}, {"succ", BackendSuccinct}, {"auto", BackendAuto}} {
 		for _, p := range []struct {
 			name string
 			p    ProbeMode
@@ -88,7 +88,8 @@ func equivConfigs() []equivConfig {
 // answers bit for bit — that is the probe paths' contract. Across
 // backends, Plain and Normalized must also agree bit for bit (they fold
 // integers; the float arithmetic is a final division of identical
-// operands). Weighted is only compared approximately across backends:
+// operands), and so must Info (its hash-wide mass is summed per split
+// size, independent of table order). Weighted is only compared approximately across backends:
 // each backend accumulates per-entry LengthSum in its own insertion
 // order at build time, so the stored sums themselves differ by ULPs
 // before any probe runs.
@@ -109,13 +110,13 @@ func TestCacheEquivalenceWall(t *testing.T) {
 			}
 			qs := equivQueries(trees, ts, rng)
 
-			variants := []Variant{Plain, Normalized, Weighted}
-			// crossBaseline: the map backend's scalar uncached answers, the
-			// reference for cross-backend comparisons. backendBaseline is
+			variants := []Variant{Plain, Normalized, Weighted, Info}
+			// crossBaseline: the open-addressing backend's scalar uncached
+			// answers, the reference for cross-backend comparisons. backendBaseline is
 			// re-derived per backend for the bit-identity checks.
 			crossBaseline := make(map[Variant][]float64)
 			hashes := map[Backend]*FreqHash{}
-			for _, b := range []Backend{BackendMap, BackendOpenAddressing, BackendSuccinct, BackendAuto} {
+			for _, b := range []Backend{BackendOpenAddressing, BackendSuccinct, BackendAuto} {
 				h, err := Build(collection.FromTrees(trees), ts, BuildOptions{
 					RequireComplete: true, Backend: b,
 				})
@@ -125,7 +126,7 @@ func TestCacheEquivalenceWall(t *testing.T) {
 				hashes[b] = h
 			}
 			for _, v := range variants {
-				crossBaseline[v] = equivAnswers(t, hashes[BackendMap], qs, QueryOptions{
+				crossBaseline[v] = equivAnswers(t, hashes[BackendOpenAddressing], qs, QueryOptions{
 					RequireComplete: true, Variant: v, Probe: ProbeScalar,
 				})
 			}
@@ -157,15 +158,15 @@ func TestCacheEquivalenceWall(t *testing.T) {
 						}
 						if v == Weighted {
 							if !approxEq(got[i], crossBaseline[v][i]) {
-								t.Fatalf("%s/%v: query %d = %v, map baseline %v", cfg.name, v, i, got[i], crossBaseline[v][i])
+								t.Fatalf("%s/%v: query %d = %v, openaddr baseline %v", cfg.name, v, i, got[i], crossBaseline[v][i])
 							}
 						} else if math.Float64bits(got[i]) != math.Float64bits(crossBaseline[v][i]) {
-							t.Fatalf("%s/%v: query %d = %v (bits %x), map baseline %v (bits %x)",
+							t.Fatalf("%s/%v: query %d = %v (bits %x), openaddr baseline %v (bits %x)",
 								cfg.name, v, i, got[i], math.Float64bits(got[i]),
 								crossBaseline[v][i], math.Float64bits(crossBaseline[v][i]))
 						}
 					}
-					if cfg.cached && v != Weighted {
+					if cfg.cached && (v == Plain || v == Normalized) {
 						if st := opts.Cache.Stats(); st.Hits == 0 {
 							t.Errorf("%s/%v: repeat-laden mix produced no cache hits", cfg.name, v)
 						}

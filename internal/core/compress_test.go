@@ -6,23 +6,23 @@ import (
 	"repro/internal/collection"
 )
 
-// TestCompressedHashAgrees checks the §IX key-compression option: the
-// compressed hash must produce bit-identical distances and entries while
-// storing the same number of (smaller) keys.
+// TestCompressedHashAgrees checks §IX key compression — the succinct
+// backend: the compressed hash must produce bit-identical distances and
+// entries while storing the same number of (smaller) keys.
 func TestCompressedHashAgrees(t *testing.T) {
 	trees, ts := randomCollection(91, 40, 60)
 	src := collection.FromTrees(trees)
 
-	plain, err := Build(src, ts, BuildOptions{RequireComplete: true})
+	plain, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendOpenAddressing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Build(src, ts, BuildOptions{RequireComplete: true, CompressKeys: true})
+	comp, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendSuccinct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !comp.Compressed() || plain.Compressed() {
-		t.Fatal("Compressed flag wrong")
+	if comp.Backend() != BackendSuccinct || plain.Backend() != BackendOpenAddressing {
+		t.Fatalf("backends %v/%v, want openaddr/succinct", plain.Backend(), comp.Backend())
 	}
 	if plain.UniqueBipartitions() != comp.UniqueBipartitions() {
 		t.Fatalf("unique counts differ: %d vs %d",
@@ -76,14 +76,13 @@ func TestCompressedHashAgrees(t *testing.T) {
 func TestCompressedHashSmallerKeys(t *testing.T) {
 	trees, ts := randomCollection(17, 200, 30)
 	src := collection.FromTrees(trees)
-	// Pin the map backend: the §IX comparison is raw vs compressed keys
-	// within the string-keyed engine (the open-addressing backend stores
-	// fixed-width words, not strings).
-	plain, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendMap})
+	// The §IX comparison: the open-addressing backend's fixed-width raw
+	// words against the succinct backend's encoded keys.
+	plain, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendOpenAddressing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Build(src, ts, BuildOptions{RequireComplete: true, CompressKeys: true})
+	comp, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendSuccinct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +104,11 @@ func keyBytes(h *FreqHash) int {
 func TestCompressedConsensus(t *testing.T) {
 	trees, ts := randomCollection(23, 12, 9)
 	src := collection.FromTrees(trees)
-	plain, err := Build(src, ts, BuildOptions{RequireComplete: true})
+	plain, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendOpenAddressing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Build(src, ts, BuildOptions{RequireComplete: true, CompressKeys: true})
+	comp, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendSuccinct})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,16 @@ import (
 
 // TestGreedyConsensusIndependentOfCompression: the greedy consensus (which
 // breaks support ties by entry order) must produce the same tree whether
-// the hash stores raw or compressed keys.
+// the hash stores raw (open-addressing) or compressed (succinct) keys.
 func TestGreedyConsensusIndependentOfCompression(t *testing.T) {
 	for trial := int64(0); trial < 8; trial++ {
 		trees, ts := randomCollection(500+trial, 11, 7)
 		src := collection.FromTrees(trees)
-		plain, err := Build(src, ts, BuildOptions{RequireComplete: true})
+		plain, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendOpenAddressing})
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := Build(src, ts, BuildOptions{RequireComplete: true, CompressKeys: true})
+		comp, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendSuccinct})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,15 +39,15 @@ func TestGreedyConsensusIndependentOfCompression(t *testing.T) {
 }
 
 // TestEntriesOrderIndependentOfCompression: Entries must list identical
-// bipartitions in identical order for both key schemes.
+// bipartitions in identical order for both backends' key schemes.
 func TestEntriesOrderIndependentOfCompression(t *testing.T) {
 	trees, ts := randomCollection(77, 13, 9)
 	src := collection.FromTrees(trees)
-	plain, err := Build(src, ts, BuildOptions{RequireComplete: true})
+	plain, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendOpenAddressing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Build(src, ts, BuildOptions{RequireComplete: true, CompressKeys: true})
+	comp, err := Build(src, ts, BuildOptions{RequireComplete: true, Backend: BackendSuccinct})
 	if err != nil {
 		t.Fatal(err)
 	}

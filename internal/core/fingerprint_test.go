@@ -146,7 +146,7 @@ func TestFingerprintHashMatchesTable(t *testing.T) {
 				if b.Hash() == 0 {
 					t.Fatal("zero bipartition hash (0 marks empty table slots)")
 				}
-				e, ok := h.oa.LookupHashed(b.Hash(), b.Words())
+				e, ok := h.OpenAddr().LookupHashed(b.Hash(), b.Words())
 				if !ok || e.Freq == 0 {
 					t.Fatalf("n=%d: LookupHashed missed a built bipartition", n)
 				}

@@ -23,25 +23,21 @@ type entry = bfhtable.Entry
 type Backend int
 
 const (
-	// BackendAuto picks the open-addressing table unless compressed keys
-	// are requested (which only the map backend supports).
+	// BackendAuto picks the open-addressing table, or the succinct table
+	// once raw keys reach autoSuccinctKeyBytes.
 	BackendAuto Backend = iota
 	// BackendOpenAddressing is the zero-allocation word-keyed table
 	// (internal/bfhtable): bipartitions are hashed and stored as their raw
 	// mask words, no key string ever materializes, and build workers merge
 	// shard-parallel. The default.
 	BackendOpenAddressing
-	// BackendMap is the legacy map[string]entry engine. It remains the
-	// only backend supporting the §IX compressed-key scheme, and serves as
-	// the A/B baseline for the backend ablation.
-	BackendMap
 	// BackendSuccinct is the compressed-key open-addressing table
 	// (bfhtable.SuccinctTable): keys live in a variable-length arena under
-	// the raw/sparse/cosparse/dictionary encoding, probes filter on a
-	// packed (popcount bucket, length) header, and the arena shrinks from
-	// n/8 bytes per key to the encoded size — the huge-n engine. Auto-
-	// selected when the estimated raw key width reaches
-	// autoSuccinctKeyBytes.
+	// the raw/sparse/cosparse/dictionary encoding — the §IX lossless key
+	// compression — probes filter on a packed (popcount bucket, length)
+	// header, and the arena shrinks from n/8 bytes per key to the encoded
+	// size: the huge-n engine. Auto-selected when the estimated raw key
+	// width reaches autoSuccinctKeyBytes.
 	BackendSuccinct
 )
 
@@ -52,8 +48,6 @@ func (b Backend) String() string {
 		return "auto"
 	case BackendOpenAddressing:
 		return "openaddr"
-	case BackendMap:
-		return "map"
 	case BackendSuccinct:
 		return "succinct"
 	default:
@@ -68,28 +62,49 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendAuto, nil
 	case "openaddr", "oa":
 		return BackendOpenAddressing, nil
-	case "map":
-		return BackendMap, nil
 	case "succinct", "succ":
 		return BackendSuccinct, nil
+	case "map":
+		return 0, fmt.Errorf("core: the map hash backend was removed; compressed keys are the succinct backend (want auto, openaddr or succinct)")
 	}
-	return 0, fmt.Errorf("core: unknown hash backend %q (want auto, openaddr, map or succinct)", s)
+	return 0, fmt.Errorf("core: unknown hash backend %q (want auto, openaddr or succinct)", s)
+}
+
+// store is the storage engine behind a FreqHash. Both engines —
+// *bfhtable.Table and *bfhtable.SuccinctTable — implement it directly;
+// code that needs an engine-specific fast path (the query prober's fill,
+// snapshot writers) type-switches once per call, never per bipartition.
+type store interface {
+	Add(words []uint64, size uint32, length float64)
+	AddEntry(words []uint64, e entry)
+	Dec(words []uint64, length float64) bool
+	Lookup(words []uint64) (entry, bool)
+	Len() int
+	NumShards() int
+	Range(fn func(words []uint64, e entry) bool)
+	RangeShard(s int, fn func(words []uint64, e entry) bool) bool
+	FootprintBytes() int64
+	LoadFactor() float64
+	ProbeLengths(fn func(displacement int))
+	Totals() (sum uint64, lenSum float64)
+}
+
+// newStore returns an empty engine of backend b (already resolved, never
+// BackendAuto) over ts with the given shard count.
+func newStore(b Backend, ts *taxa.Set, shards int) store {
+	if b == BackendSuccinct {
+		return bfhtable.NewSuccinct(ts.Len(), shards)
+	}
+	return bfhtable.New(wordsPerKey(ts), shards)
 }
 
 // FreqHash is the bipartition frequency hash BFH_R: a collision-free map
 // from canonical bipartition encodings to their frequency across the
 // reference collection. It is immutable after Build and safe for
 // concurrent readers.
-//
-// Exactly one of the three storage engines is active: oa (the default
-// open-addressing word-keyed table), st (the succinct compressed-key
-// table for huge catalogues), or m (the legacy string-keyed map, required
-// for compressed map keys).
 type FreqHash struct {
 	taxa *taxa.Set
-	m    map[string]entry
-	oa   *bfhtable.Table
-	st   *bfhtable.SuccinctTable
+	tbl  store
 	// sum is Σ_b freq[b] — the paper's sumBFHR.
 	sum uint64
 	// lenSum is Σ_b lengthSum[b], for the weighted variant's left term.
@@ -98,12 +113,10 @@ type FreqHash struct {
 	numTrees int
 	// weighted records whether every indexed bipartition carried a length.
 	weighted bool
-	// compressed selects CompactKey (the §IX lossless key compression)
-	// instead of the raw bitmask bytes as the map key. Map backend only.
-	compressed bool
 
 	// mu guards the lazily built information-content state below and the
-	// incremental-update path; the read-only query hot paths never take it.
+	// incremental-update path; of the query folds only Info takes it, once
+	// per query, to read that state.
 	mu      sync.Mutex
 	icTable splitInfoTable
 	icSum   float64
@@ -111,33 +124,10 @@ type FreqHash struct {
 
 // Backend reports which storage engine the hash uses.
 func (h *FreqHash) Backend() Backend {
-	if h.oa != nil {
-		return BackendOpenAddressing
-	}
-	if h.st != nil {
+	if _, ok := h.tbl.(*bfhtable.SuccinctTable); ok {
 		return BackendSuccinct
 	}
-	return BackendMap
-}
-
-// Compressed reports whether the hash stores compressed keys.
-func (h *FreqHash) Compressed() bool { return h.compressed }
-
-// keyOf returns b's map key under the hash's key scheme (map backend only).
-// Both schemes are collision-free; the compressed one trades CPU for memory.
-func (h *FreqHash) keyOf(b bipart.Bipartition) string {
-	if h.compressed {
-		return b.CompactKey()
-	}
-	return b.Key()
-}
-
-// maskFromKey inverts keyOf for Entries.
-func (h *FreqHash) maskFromKey(k string) (*bitset.Bits, error) {
-	if h.compressed {
-		return bitset.FromCompactKey(k, h.taxa.Len())
-	}
-	return bitset.FromKey(k, h.taxa.Len())
+	return BackendOpenAddressing
 }
 
 // Taxa returns the catalogue the hash is encoded over.
@@ -148,38 +138,13 @@ func (h *FreqHash) NumTrees() int { return h.numTrees }
 
 // UniqueBipartitions returns the number of distinct bipartitions stored —
 // the quantity that actually bounds BFHRF's memory (paper §VII.C).
-func (h *FreqHash) UniqueBipartitions() int {
-	if h.oa != nil {
-		return h.oa.Len()
-	}
-	if h.st != nil {
-		return h.st.Len()
-	}
-	return len(h.m)
-}
+func (h *FreqHash) UniqueBipartitions() int { return h.tbl.Len() }
 
-// FootprintBytes estimates the resident size of the hash's storage
-// engine. The table backends report exact array and arena sizes; the map
-// backend is an estimate (key bytes plus per-entry map overhead), good
-// enough for the peak-heap accounting of benchmark records. Exposed so
-// memprof measurements over pre-built hashes can include the table the
-// measured region probes (see memprof.MeasureNWith).
-func (h *FreqHash) FootprintBytes() int64 {
-	if h.oa != nil {
-		return h.oa.FootprintBytes()
-	}
-	if h.st != nil {
-		return h.st.FootprintBytes()
-	}
-	// Go map internals: per entry one 16-byte string header + key bytes +
-	// the 16-byte entry, plus roughly 32 bytes of bucket machinery at
-	// typical load factors.
-	var b int64
-	for k := range h.m {
-		b += int64(len(k)) + 64
-	}
-	return b
-}
+// FootprintBytes reports the resident size of the hash's storage engine
+// (exact array and arena sizes). Exposed so memprof measurements over
+// pre-built hashes can include the table the measured region probes (see
+// memprof.MeasureNWith).
+func (h *FreqHash) FootprintBytes() int64 { return h.tbl.FootprintBytes() }
 
 // TotalBipartitions returns sumBFHR, the total bipartition instances.
 func (h *FreqHash) TotalBipartitions() uint64 { return h.sum }
@@ -196,8 +161,7 @@ func (h *FreqHash) Weighted() bool { return h.weighted }
 // disagrees with overwhelming probability. Checkpoint resume uses it to
 // refuse mixing results computed against different reference sets.
 // Deliberately excluded: lenSum (float accumulation order varies with
-// scheduling) and the backend/compression choice (they do not affect
-// results).
+// scheduling) and the backend choice (it does not affect results).
 func (h *FreqHash) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -222,42 +186,17 @@ func (h *FreqHash) Fingerprint() uint64 {
 	return fp
 }
 
-// entryOf returns b's stored record (zero entry if absent). The map path
-// allocates a key string; hot loops use a Prober instead.
+// entryOf returns b's stored record (zero entry if absent). Hot loops
+// use a Prober instead.
 func (h *FreqHash) entryOf(b bipart.Bipartition) entry {
-	if h.oa != nil {
-		e, _ := h.oa.LookupHashed(b.Hash(), b.Words())
-		return e
-	}
-	if h.st != nil {
-		e, _ := h.st.Lookup(b.Words())
-		return e
-	}
-	return h.m[h.keyOf(b)]
+	e, _ := h.tbl.Lookup(b.Words())
+	return e
 }
 
 // Frequency returns the frequency of b over the reference collection
 // (0 if absent, per the paper's convention BFH_R[b] = 0).
 func (h *FreqHash) Frequency(b bipart.Bipartition) int {
 	return int(h.entryOf(b).Freq)
-}
-
-// FrequencyByKey is Frequency for a precomputed canonical (uncompressed)
-// Key() string.
-func (h *FreqHash) FrequencyByKey(key string) int {
-	if h.oa != nil || h.st != nil {
-		mask, err := bitset.FromKey(key, h.taxa.Len())
-		if err != nil {
-			return 0
-		}
-		if h.oa != nil {
-			e, _ := h.oa.Lookup(mask.Words())
-			return int(e.Freq)
-		}
-		e, _ := h.st.Lookup(mask.Words())
-		return int(e.Freq)
-	}
-	return int(h.m[key].Freq)
 }
 
 // SupportOf returns freq/r, the fraction of reference trees containing b.
@@ -267,58 +206,6 @@ func (h *FreqHash) SupportOf(b bipart.Bipartition) float64 {
 	}
 	return float64(h.Frequency(b)) / float64(h.numTrees)
 }
-
-// Prober performs repeated frequency lookups with no per-probe key
-// allocation: the open-addressing backend probes on the mask words
-// directly, and the map backend reuses one scratch buffer via the
-// map-index string-conversion optimization. A Prober is not safe for
-// concurrent use; give each goroutine its own.
-type Prober struct {
-	h   *FreqHash
-	buf []byte
-
-	// Query-side acceleration state (see query.go): an optional shared
-	// result cache keyed by topology fingerprint, the probe-path selector,
-	// and per-prober scratch for fingerprinting and batched lookups (the
-	// word-keyed batch for the open-addressing backend, the encoded-key
-	// batch for the succinct backend).
-	cache  *QueryCache
-	probe  ProbeMode
-	fp     fingerprinter
-	batch  bfhtable.ProbeBatch
-	sbatch bfhtable.SuccinctBatch
-	// autoBatch memoizes ProbeAuto's table-footprint decision:
-	// 0 undecided, +1 batch, -1 scalar (see Prober.batchAuto).
-	autoBatch int8
-}
-
-// NewProber returns a prober bound to h with no cache attached and
-// automatic probe-path selection.
-func (h *FreqHash) NewProber() *Prober { return &Prober{h: h} }
-
-// entryOf returns b's stored record without allocating.
-func (p *Prober) entryOf(b bipart.Bipartition) entry {
-	h := p.h
-	if h.oa != nil {
-		e, _ := h.oa.LookupHashed(b.Hash(), b.Words())
-		return e
-	}
-	if h.st != nil {
-		var meta uint32
-		p.buf, meta = h.st.AppendEncoded(p.buf[:0], b.Words())
-		e, _ := h.st.LookupEncoded(b.Hash(), p.buf, meta)
-		return e
-	}
-	if h.compressed {
-		p.buf = b.AppendCompactKey(p.buf[:0])
-	} else {
-		p.buf = b.AppendKey(p.buf[:0])
-	}
-	return h.m[string(p.buf)]
-}
-
-// Frequency is FreqHash.Frequency through the prober's scratch buffer.
-func (p *Prober) Frequency(b bipart.Bipartition) int { return int(p.entryOf(b).Freq) }
 
 // Entry describes one stored bipartition for inspection and consensus.
 type Entry struct {
@@ -333,32 +220,17 @@ type Entry struct {
 // forEachEntry yields every stored live bipartition's canonical mask and
 // record, in unspecified order. The mask is freshly decoded and owned by fn.
 func (h *FreqHash) forEachEntry(fn func(mask *bitset.Bits, e entry)) error {
-	if h.oa != nil || h.st != nil {
-		var decodeErr error
-		visit := func(words []uint64, e entry) bool {
-			mask, err := bitset.FromWords(words, h.taxa.Len())
-			if err != nil {
-				decodeErr = fmt.Errorf("core: corrupt hash words: %w", err)
-				return false
-			}
-			fn(mask, e)
-			return true
-		}
-		if h.oa != nil {
-			h.oa.Range(visit)
-		} else {
-			h.st.Range(visit)
-		}
-		return decodeErr
-	}
-	for k, e := range h.m {
-		mask, err := h.maskFromKey(k)
+	var decodeErr error
+	h.tbl.Range(func(words []uint64, e entry) bool {
+		mask, err := bitset.FromWords(words, h.taxa.Len())
 		if err != nil {
-			return fmt.Errorf("core: corrupt hash key: %w", err)
+			decodeErr = fmt.Errorf("core: corrupt hash words: %w", err)
+			return false
 		}
 		fn(mask, e)
-	}
-	return nil
+		return true
+	})
+	return decodeErr
 }
 
 // Entries returns every stored bipartition with frequency at least
@@ -388,7 +260,7 @@ func (h *FreqHash) Entries(minFreq int) ([]Entry, error) {
 	}
 	// Tie-break on the canonical (uncompressed) encoding so the order — and
 	// anything derived from it, like the greedy consensus — is identical
-	// across backends and key schemes.
+	// across backends.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Frequency != out[j].Frequency {
 			return out[i].Frequency > out[j].Frequency
@@ -403,89 +275,49 @@ func (h *FreqHash) Entries(minFreq int) ([]Entry, error) {
 // stores fixed-width word keys, so every length is WordsPerKey()*8; the
 // succinct backend reports each key's encoded arena length.
 func (h *FreqHash) KeySizes() []int {
-	if h.oa != nil {
-		out := make([]int, 0, h.oa.Len())
-		nb := h.oa.WordsPerKey() * 8
-		h.oa.Range(func(words []uint64, e entry) bool {
+	out := make([]int, 0, h.tbl.Len())
+	switch t := h.tbl.(type) {
+	case *bfhtable.Table:
+		nb := t.WordsPerKey() * 8
+		for i := 0; i < t.Len(); i++ {
 			out = append(out, nb)
-			return true
-		})
-		return out
-	}
-	if h.st != nil {
-		out := make([]int, 0, h.st.Len())
-		for s := 0; s < h.st.NumShards(); s++ {
-			h.st.RangeShardEncoded(s, func(enc []byte, e entry) bool {
+		}
+	case *bfhtable.SuccinctTable:
+		for s := 0; s < t.NumShards(); s++ {
+			t.RangeShardEncoded(s, func(enc []byte, e entry) bool {
 				out = append(out, len(enc))
 				return true
 			})
 		}
-		return out
-	}
-	out := make([]int, 0, len(h.m))
-	for k := range h.m {
-		out = append(out, len(k))
 	}
 	return out
 }
 
-// NumShards returns the shard count of the table backends (1 for the map
-// backend, which is unsharded).
-func (h *FreqHash) NumShards() int {
-	if h.oa != nil {
-		return h.oa.NumShards()
-	}
-	if h.st != nil {
-		return h.st.NumShards()
-	}
-	return 1
-}
+// NumShards returns the storage engine's shard count.
+func (h *FreqHash) NumShards() int { return h.tbl.NumShards() }
 
 // RangeShardRaw iterates one shard's live entries as raw mask words —
-// the serialization path of the distributed snapshot (internal/distrib).
-// For the map backend, shard 0 holds everything and words are decoded from
-// keys. The words slice is only valid during the call.
-func (h *FreqHash) RangeShardRaw(shard int, fn func(words []uint64, e entry) bool) error {
-	if h.oa != nil {
-		h.oa.RangeShard(shard, fn)
-		return nil
-	}
-	if h.st != nil {
-		h.st.RangeShard(shard, fn)
-		return nil
-	}
-	if shard != 0 {
-		return nil
-	}
-	for k, e := range h.m {
-		mask, err := h.maskFromKey(k)
-		if err != nil {
-			return fmt.Errorf("core: corrupt hash key: %w", err)
-		}
-		if !fn(mask.Words(), e) {
-			return nil
-		}
-	}
-	return nil
+// the merge path of the distributed failover (internal/distrib). The
+// words slice is only valid during the call.
+func (h *FreqHash) RangeShardRaw(shard int, fn func(words []uint64, e entry) bool) {
+	h.tbl.RangeShard(shard, fn)
 }
 
-// Succinct returns the succinct backend's table, or nil when another
-// backend is active. The distributed snapshot path uses it to serialize
-// the compressed arena and its dictionary without decoding keys.
-func (h *FreqHash) Succinct() *bfhtable.SuccinctTable { return h.st }
+// OpenAddr returns the open-addressing backend's table, or nil when the
+// succinct backend is active. Snapshot writers use it to reach shard
+// storage.
+func (h *FreqHash) OpenAddr() *bfhtable.Table {
+	t, _ := h.tbl.(*bfhtable.Table)
+	return t
+}
 
-// merge folds a worker-local frequency map into the hash (map-backend
-// build phase only).
-func (h *FreqHash) merge(local map[string]entry) {
-	for k, le := range local {
-		e := h.m[k]
-		e.Freq += le.Freq
-		e.Size = le.Size
-		e.LengthSum += le.LengthSum
-		h.m[k] = e
-		h.sum += uint64(le.Freq)
-		h.lenSum += le.LengthSum
-	}
+// Succinct returns the succinct backend's table, or nil when the
+// open-addressing backend is active. The snapshot writer uses it to
+// serialize the compressed arena and its dictionary without decoding
+// keys.
+func (h *FreqHash) Succinct() *bfhtable.SuccinctTable {
+	t, _ := h.tbl.(*bfhtable.SuccinctTable)
+	return t
 }
 
 // invalidateDerived drops lazily computed state after a mutation.

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/bipart"
-	"repro/internal/collection"
-	"repro/internal/tree"
-)
+import "math"
 
 // This file implements the information-content generalized RF — the style
 // of "generalized Robinson-Foulds" the paper's future work targets (§IX,
@@ -28,7 +21,9 @@ import (
 //
 // which decomposes over the frequency hash exactly like the weighted
 // variant: left term from the total information mass of the hash, right
-// term per query split.
+// term per query split. The fold itself is the Info case of
+// FreqHash.fold (query.go), so information-weighted queries run through
+// AverageRF like every other variant.
 
 // splitInfoTable holds lg₂(2k−3)!! for k = 0..n, so h(a) is three lookups.
 type splitInfoTable []float64
@@ -54,96 +49,31 @@ func (t splitInfoTable) info(n, a int) float64 {
 }
 
 // infoState lazily caches the per-hash information table and total mass.
+// The mass is accumulated per split size — integer frequency counts first,
+// then one product per size in ascending order — so it is the same
+// float64 on every backend, whatever order the table ranges in.
 func (h *FreqHash) infoState() (splitInfoTable, float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.icTable == nil {
-		h.icTable = newSplitInfoTable(h.taxa.Len())
 		n := h.taxa.Len()
+		h.icTable = newSplitInfoTable(n)
+		freqBySize := make([]uint64, n+1)
+		h.tbl.Range(func(_ []uint64, e entry) bool {
+			if int(e.Size) <= n {
+				freqBySize[e.Size] += uint64(e.Freq)
+			}
+			return true
+		})
 		sum := 0.0
-		if h.oa != nil {
-			h.oa.Range(func(_ []uint64, e entry) bool {
-				sum += float64(e.Freq) * h.icTable.info(n, int(e.Size))
-				return true
-			})
-		} else {
-			for _, e := range h.m {
-				sum += float64(e.Freq) * h.icTable.info(n, int(e.Size))
+		for a, f := range freqBySize {
+			if f > 0 {
+				sum += float64(f) * h.icTable.info(n, a)
 			}
 		}
 		h.icSum = sum
 	}
 	return h.icTable, h.icSum
-}
-
-// AverageInfoRF computes the average information-weighted RF of each query
-// tree against the reference collection (tree-vs-hash, like AverageRF).
-func (h *FreqHash) AverageInfoRF(q collection.Source, opts QueryOptions) ([]Result, error) {
-	if err := q.Reset(); err != nil {
-		return nil, err
-	}
-	var out []Result
-	idx := 0
-	for {
-		if opts.Cancel != nil {
-			select {
-			case <-opts.Cancel:
-				return out, ErrCanceled
-			default:
-			}
-		}
-		t, err := q.Next()
-		if err != nil {
-			break
-		}
-		if opts.Skip != nil && opts.Skip(idx) {
-			idx++
-			continue
-		}
-		v, err := h.InfoRFOne(t, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: query tree %d: %w", idx, err)
-		}
-		r := Result{Index: idx, AvgRF: v}
-		if opts.OnResult != nil {
-			opts.OnResult(r)
-		}
-		out = append(out, r)
-		idx++
-	}
-	return out, nil
-}
-
-// InfoRFOne is the single-tree information-weighted comparison.
-func (h *FreqHash) InfoRFOne(t *tree.Tree, opts QueryOptions) (float64, error) {
-	ex := &bipart.Extractor{
-		Taxa:            h.taxa,
-		RequireComplete: opts.RequireComplete,
-		Filter:          opts.Filter,
-	}
-	bs, err := ex.Extract(t)
-	if err != nil {
-		return 0, err
-	}
-	table, icSum := h.infoState()
-	n := h.taxa.Len()
-	r := float64(h.numTrees)
-	p := h.NewProber()
-	left := icSum
-	right := 0.0
-	for _, b := range bs {
-		hb := table.info(n, b.Size())
-		e := p.entryOf(b)
-		left -= float64(e.Freq) * hb
-		right += hb * (r - float64(e.Freq))
-	}
-	v := (left + right) / r
-	if v < 0 {
-		// Guard the floating-point dust that subtraction of equal masses
-		// can leave behind; true distances are never negative.
-		v = 0
-	}
-	return v, nil
 }
 
 // SplitInformation returns the information content in bits of a split with

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -37,28 +39,74 @@ func TestSplitInformationValues(t *testing.T) {
 
 func TestInfoRFAgainstDirectComputation(t *testing.T) {
 	// One reference tree: icRF must equal the direct sum of h over the
-	// symmetric difference.
+	// symmetric difference — on both storage engines, with identical
+	// answers (the information mass is summed over whichever table is
+	// active).
 	ts := taxaSix()
 	ref := newick.MustParse("((A,B),((C,D),(E,F)));")
 	qt := newick.MustParse("((A,C),((B,D),(E,F)));")
-	h := buildHash(t, []*tree.Tree{ref}, ts)
-	got, err := h.InfoRFOne(qt, QueryOptions{RequireComplete: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Shared: EF|rest (h(6,2)). Unshared: ref has AB|.. and CD|..;
 	// query has AC|.. and BD|.. → 4 unshared splits, each a 2|4 split.
 	want := 4 * SplitInformation(6, 2)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("icRF = %v, want %v", got, want)
+	var answers []float64
+	for _, b := range []Backend{BackendOpenAddressing, BackendSuccinct} {
+		h, err := Build(collection.FromTrees([]*tree.Tree{ref}), ts, BuildOptions{RequireComplete: true, Backend: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.AverageRFOne(qt, QueryOptions{RequireComplete: true, Variant: Info})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("%v: icRF = %v, want 4·h(6,2) = %v", b, got, want)
+		}
+		answers = append(answers, got)
+		// Identical tree → 0.
+		same, err := h.AverageRFOne(ref.Clone(), QueryOptions{RequireComplete: true, Variant: Info})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same != 0 {
+			t.Errorf("%v: icRF(self) = %v, want 0", b, same)
+		}
 	}
-	// Identical tree → 0.
-	same, err := h.InfoRFOne(ref.Clone(), QueryOptions{RequireComplete: true})
-	if err != nil {
-		t.Fatal(err)
+	if answers[0] != answers[1] {
+		t.Errorf("openaddr %v vs succinct %v", answers[0], answers[1])
 	}
-	if same != 0 {
-		t.Errorf("icRF(self) = %v, want 0", same)
+}
+
+// failingSource yields its trees, then fails at position failAt.
+type failingSource struct {
+	trees  []*tree.Tree
+	failAt int
+	pos    int
+}
+
+func (s *failingSource) Reset() error { s.pos = 0; return nil }
+
+func (s *failingSource) Next() (*tree.Tree, error) {
+	if s.pos == s.failAt {
+		return nil, errors.New("disk on fire")
+	}
+	if s.pos >= len(s.trees) {
+		return nil, io.EOF
+	}
+	s.pos++
+	return s.trees[s.pos-1], nil
+}
+
+// TestInfoVariantSurfacesReadErrors: a query source failing mid-stream
+// is an error for the Info variant exactly as for Plain — never a short
+// result list with a nil error.
+func TestInfoVariantSurfacesReadErrors(t *testing.T) {
+	trees, ts := randomCollection(8, 10, 6)
+	h := buildHash(t, trees, ts)
+	for _, v := range []Variant{Plain, Info} {
+		res, err := h.AverageRF(&failingSource{trees: trees, failAt: 1}, QueryOptions{RequireComplete: true, Variant: v})
+		if err == nil {
+			t.Errorf("%v: %d results and no error from a source failing on tree 2", v, len(res))
+		}
 	}
 }
 
@@ -67,7 +115,7 @@ func taxaSix() *taxa.Set { return taxa.MustNewSet([]string{"A", "B", "C", "D", "
 func TestInfoRFAverage(t *testing.T) {
 	trees, ts := randomCollection(55, 12, 20)
 	h := buildHash(t, trees, ts)
-	res, err := h.AverageInfoRF(collection.FromTrees(trees), QueryOptions{RequireComplete: true})
+	res, err := h.AverageRF(collection.FromTrees(trees), QueryOptions{RequireComplete: true, Variant: Info})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +127,7 @@ func TestInfoRFAverage(t *testing.T) {
 	direct := 0.0
 	for _, ref := range trees {
 		h1 := buildHash(t, []*tree.Tree{ref}, ts)
-		v, err := h1.InfoRFOne(trees[0], QueryOptions{RequireComplete: true})
+		v, err := h1.AverageRFOne(trees[0], QueryOptions{RequireComplete: true, Variant: Info})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +143,7 @@ func TestInfoRFNonNegativeAndMonotone(t *testing.T) {
 	trees, ts := randomCollection(66, 15, 10)
 	h := buildHash(t, trees, ts)
 	for i, tr := range trees {
-		v, err := h.InfoRFOne(tr, QueryOptions{RequireComplete: true})
+		v, err := h.AverageRFOne(tr, QueryOptions{RequireComplete: true, Variant: Info})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,20 +157,20 @@ func TestInfoRFAfterUpdateInvalidation(t *testing.T) {
 	// The cached information mass must be recomputed after AddTree.
 	trees, ts := randomCollection(3, 10, 5)
 	h := buildHash(t, trees[:4], ts)
-	before, err := h.InfoRFOne(trees[0], QueryOptions{RequireComplete: true})
+	before, err := h.AverageRFOne(trees[0], QueryOptions{RequireComplete: true, Variant: Info})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := h.AddTree(trees[4], nil, true); err != nil {
 		t.Fatal(err)
 	}
-	after, err := h.InfoRFOne(trees[0], QueryOptions{RequireComplete: true})
+	after, err := h.AverageRFOne(trees[0], QueryOptions{RequireComplete: true, Variant: Info})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rebuild from scratch over all 5 — must equal the updated hash.
 	h5 := buildHash(t, trees, ts)
-	want, err := h5.InfoRFOne(trees[0], QueryOptions{RequireComplete: true})
+	want, err := h5.AverageRFOne(trees[0], QueryOptions{RequireComplete: true, Variant: Info})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ var (
 		"Probe-chain displacement of occupied open-addressing slots, observed once per slot after each BFH build (0 = direct hit).",
 		[]float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32})
 	mHashLoadFactor = obs.Gauge("bfhrf_hash_load_factor",
-		"Occupied-slot fraction of the open-addressing BFH after the most recent build (0 when the map backend is active).")
+		"Occupied-slot fraction of the BFH table after the most recent build.")
 	mCacheHits = obs.Counter("bfhrf_cache_hit_total",
 		"Query trees answered from the topology-fingerprint result cache.")
 	mCacheMisses = obs.Counter("bfhrf_cache_miss_total",
@@ -73,25 +73,19 @@ func recordBuild(h *FreqHash, bipartitions int) {
 	mRefTrees.Add(uint64(h.numTrees))
 	mBipartitionsHashed.Add(uint64(bipartitions))
 	mUniqueBipartitions.Set(float64(h.UniqueBipartitions()))
-	switch {
-	case h.oa != nil:
-		mHashLoadFactor.Set(h.oa.LoadFactor())
-		h.oa.ProbeLengths(func(d int) {
-			mHashProbeLength.Observe(float64(d))
-		})
-	case h.st != nil:
-		mHashLoadFactor.Set(h.st.LoadFactor())
-		h.st.ProbeLengths(func(d int) {
-			mSuccinctProbeLength.Observe(float64(d))
-		})
-		raw, sparse, cosparse, dict := h.st.KeyByteTotals()
+	mHashLoadFactor.Set(h.tbl.LoadFactor())
+	probeLengths := mHashProbeLength
+	if st := h.Succinct(); st != nil {
+		probeLengths = mSuccinctProbeLength
+		raw, sparse, cosparse, dict := st.KeyByteTotals()
 		mKeyBytesRaw.Add(uint64(raw))
 		mKeyBytesSparse.Add(uint64(sparse))
 		mKeyBytesCosparse.Add(uint64(cosparse))
 		mKeyBytesDict.Add(uint64(dict))
-	default:
-		mHashLoadFactor.Set(0)
 	}
+	h.tbl.ProbeLengths(func(d int) {
+		probeLengths.Observe(float64(d))
+	})
 }
 
 // annotateBuildSpan attaches the finished build's identity to its trace

@@ -93,16 +93,22 @@ func TestHashTableMetrics(t *testing.T) {
 		t.Errorf("load factor gauge = %g, want in (0, 0.75]", lf)
 	}
 
-	// A map-backend build resets the gauge and observes no probes.
+	// A succinct build observes its own probe-length histogram, not the
+	// open-addressing one, and still sets the load-factor gauge.
 	probesBefore = mHashProbeLength.Count()
-	if _, err := Build(collection.FromTrees(trees), ts, BuildOptions{RequireComplete: true, Backend: BackendMap}); err != nil {
+	succBefore := mSuccinctProbeLength.Count()
+	hs, err := Build(collection.FromTrees(trees), ts, BuildOptions{RequireComplete: true, Backend: BackendSuccinct})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := mHashProbeLength.Count() - probesBefore; got != 0 {
-		t.Errorf("map build observed %d probe lengths, want 0", got)
+		t.Errorf("succinct build observed %d open-addressing probe lengths, want 0", got)
 	}
-	if lf := mHashLoadFactor.Value(); lf != 0 {
-		t.Errorf("load factor gauge after map build = %g, want 0", lf)
+	if got := mSuccinctProbeLength.Count() - succBefore; got != uint64(hs.UniqueBipartitions()) {
+		t.Errorf("succinct probe-length observations delta = %d, want %d", got, hs.UniqueBipartitions())
+	}
+	if lf := mHashLoadFactor.Value(); lf <= 0 || lf > 0.75 {
+		t.Errorf("load factor gauge after succinct build = %g, want in (0, 0.75]", lf)
 	}
 }
 

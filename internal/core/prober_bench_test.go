@@ -9,7 +9,7 @@ import (
 
 // benchSplits builds a hash over a synthetic collection and returns the
 // same trees' pre-extracted bipartition sets — the measured region of the
-// BFHRF-OA/BFHRF-MAP perf engines, reproduced here at benchmark scale so
+// BFHRF-OA/BFHRF-SUCC perf engines, reproduced here at benchmark scale so
 // `go test -bench Prober` localizes backend regressions without a sweep.
 func benchSplits(b *testing.B, backend Backend, n, r int) (*FreqHash, [][]bipart.Bipartition) {
 	b.Helper()
@@ -46,7 +46,7 @@ func benchmarkProber(b *testing.B, backend Backend, n int) {
 	}
 }
 
-func BenchmarkProberOA48(b *testing.B)   { benchmarkProber(b, BackendOpenAddressing, 48) }
-func BenchmarkProberMap48(b *testing.B)  { benchmarkProber(b, BackendMap, 48) }
-func BenchmarkProberOA500(b *testing.B)  { benchmarkProber(b, BackendOpenAddressing, 500) }
-func BenchmarkProberMap500(b *testing.B) { benchmarkProber(b, BackendMap, 500) }
+func BenchmarkProberOA48(b *testing.B)    { benchmarkProber(b, BackendOpenAddressing, 48) }
+func BenchmarkProberSucc48(b *testing.B)  { benchmarkProber(b, BackendSuccinct, 48) }
+func BenchmarkProberOA500(b *testing.B)   { benchmarkProber(b, BackendOpenAddressing, 500) }
+func BenchmarkProberSucc500(b *testing.B) { benchmarkProber(b, BackendSuccinct, 500) }

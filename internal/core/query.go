@@ -31,6 +31,10 @@ const (
 	// counting them (the hash-decomposable weighted-RF generalization):
 	// wRF(T,T') = Σ_{b∈B(T)\B(T')} len_T(b) + Σ_{b∈B(T')\B(T)} len_T'(b).
 	Weighted
+	// Info weights each unshared bipartition by its phylogenetic
+	// information content (see info.go): the information-theoretic
+	// generalized RF of the paper's future work (§IX).
+	Info
 )
 
 // String names the variant for diagnostics and CLI flags.
@@ -42,6 +46,8 @@ func (v Variant) String() string {
 		return "normalized"
 	case Weighted:
 		return "weighted"
+	case Info:
+		return "info"
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
@@ -62,9 +68,7 @@ const (
 	ProbeAuto ProbeMode = iota
 	// ProbeScalar forces the per-bipartition probe loop.
 	ProbeScalar
-	// ProbeBatched forces shard-ordered batched probing whenever the
-	// open-addressing backend is active (the map backend has no batch
-	// path and always probes scalar).
+	// ProbeBatched forces shard-ordered batched probing.
 	ProbeBatched
 )
 
@@ -93,6 +97,35 @@ const probeBatchMin = 16
 // batch's scratch fill plus counting sort is pure overhead (measured
 // ~2× slower on the bench-scale avian table).
 const probeBatchTableMin = 4 << 20
+
+// Prober performs repeated frequency lookups with no per-probe key
+// allocation. Every query runs as one probe pass — fill looks up each
+// bipartition once, in input order — followed by one fold per variant
+// over the probed records. A Prober is not safe for concurrent use; give
+// each goroutine its own.
+type Prober struct {
+	h *FreqHash
+
+	// Query-side acceleration state: an optional shared result cache
+	// keyed by topology fingerprint, the probe-path selector, and
+	// per-prober scratch for fingerprinting and lookups (the record slice
+	// of the scalar fill, the encoded-key buffer of the succinct backend,
+	// and the batches of the shard-ordered fill).
+	cache   *QueryCache
+	probe   ProbeMode
+	fp      fingerprinter
+	entries []entry
+	buf     []byte
+	batch   bfhtable.ProbeBatch
+	sbatch  bfhtable.SuccinctBatch
+	// autoBatch memoizes ProbeAuto's table-footprint decision:
+	// 0 undecided, +1 batch, -1 scalar (see Prober.batchAuto).
+	autoBatch int8
+}
+
+// NewProber returns a prober bound to h with no cache attached and
+// automatic probe-path selection.
+func (h *FreqHash) NewProber() *Prober { return &Prober{h: h} }
 
 // batchAuto reports whether ProbeAuto should take the batched path,
 // deciding once per prober from the active table's footprint. Probers
@@ -139,8 +172,8 @@ type QueryOptions struct {
 	// Cache, when set, answers exact topological repeats from the shared
 	// query-result cache instead of re-probing the hash. Only the Plain
 	// and Normalized variants consult it (Weighted results depend on
-	// branch lengths, which the topology fingerprint ignores). Cached
-	// answers are bit-identical to recomputation.
+	// branch lengths, which the topology fingerprint ignores; Info always
+	// recomputes). Cached answers are bit-identical to recomputation.
 	Cache *QueryCache
 	// Probe selects the probe path (ProbeAuto by default).
 	Probe ProbeMode
@@ -377,82 +410,124 @@ func (p *Prober) AverageRFOfSplits(bs []bipart.Bipartition, v Variant) (float64,
 	return p.averageRFUncached(bs, v)
 }
 
-// averageRFUncached is the probe pass proper: shard-ordered batches when
-// a table backend is active and the mode allows, the scalar loop
-// otherwise. Both paths fold in the bipartition slice's order, so they
-// are bit-identical in every variant.
+// averageRFUncached is one probe pass plus the variant's fold.
 func (p *Prober) averageRFUncached(bs []bipart.Bipartition, v Variant) (float64, error) {
-	h := p.h
-	if (h.oa != nil || h.st != nil) &&
-		(p.probe == ProbeBatched ||
-			(p.probe == ProbeAuto && len(bs) >= probeBatchMin && p.batchAuto())) {
-		return p.averageRFBatched(bs, v)
+	es := p.fill(bs)
+	hits, misses := tally(es)
+	avg, err := p.h.fold(bs, es, hits, v)
+	if err != nil {
+		return 0, err
 	}
-	r := float64(h.numTrees)
-	misses := 0
-	switch v {
-	case Plain, Normalized:
-		// RFleft starts at sumBFHR; each query bipartition subtracts its
-		// frequency. RFright accumulates r − freq per query bipartition.
-		// The backend dispatch is hoisted out of the fold: entryOf does
-		// not inline, and on the open-addressing path the extra call
-		// layer plus per-probe branch cost as much as the probe itself.
-		rfLeft := int64(h.sum)
-		rfRight := int64(0)
-		rInt := int64(h.numTrees)
-		if oa := h.oa; oa != nil {
-			if oa.WordsPerKey() == 1 {
-				for _, b := range bs {
-					e, _ := oa.Lookup1Hashed(b.Hash(), b.Words()[0])
-					f := int64(e.Freq)
-					if f == 0 {
-						misses++
-					}
-					rfLeft -= f
-					rfRight += rInt - f
+	RecordQueries(1, len(bs), misses)
+	return avg, nil
+}
+
+// Hits probes bs and returns Σ freq[b] over its bipartitions and the
+// number that missed — the partial sum a distributed shard contributes
+// to RFleft and RFright (internal/distrib).
+func (p *Prober) Hits(bs []bipart.Bipartition) (hits int64, misses int) {
+	return tally(p.fill(bs))
+}
+
+// tally sums the probed frequencies and counts the misses.
+func tally(es []entry) (hits int64, misses int) {
+	for i := range es {
+		f := int64(es[i].Freq)
+		if f == 0 {
+			misses++
+		}
+		hits += f
+	}
+	return hits, misses
+}
+
+// fill is the probe pass: the stored record of every bipartition of bs,
+// in bs's order (zero records for misses). The engine dispatch runs once
+// per call. Small sets and cache-resident tables probe scalar; otherwise
+// (per the prober's ProbeMode) keys are loaded into the batch scratch —
+// raw words for open addressing, compressed encodings for succinct — and
+// probed in shard-then-slot order for locality. Both paths return the
+// same records in the same order, so every fold over them is
+// bit-identical. The slice is scratch owned by the prober, valid until
+// the next fill.
+func (p *Prober) fill(bs []bipart.Bipartition) []entry {
+	batched := p.probe == ProbeBatched ||
+		(p.probe == ProbeAuto && len(bs) >= probeBatchMin && p.batchAuto())
+	if batched {
+		mProbeBatchSize.Observe(float64(len(bs)))
+	}
+	switch t := p.h.tbl.(type) {
+	case *bfhtable.Table:
+		nw := t.WordsPerKey()
+		if batched {
+			keys, hashes := p.batch.Reset(len(bs), nw)
+			for i, b := range bs {
+				if nw == 1 {
+					keys[i] = b.Words()[0]
+				} else {
+					copy(keys[i*nw:(i+1)*nw], b.Words())
 				}
-			} else {
-				for _, b := range bs {
-					e, _ := oa.LookupHashed(b.Hash(), b.Words())
-					f := int64(e.Freq)
-					if f == 0 {
-						misses++
-					}
-					rfLeft -= f
-					rfRight += rInt - f
-				}
+				hashes[i] = b.Hash()
 			}
-		} else if st := h.st; st != nil {
-			// Succinct path: encode each query mask into the prober's
-			// scratch (no allocation once warm) and probe the compressed
-			// arena; the (bucket, length) header resolves most misses
-			// before any key bytes are read.
-			var meta uint32
-			for _, b := range bs {
-				p.buf, meta = st.AppendEncoded(p.buf[:0], b.Words())
-				e, _ := st.LookupEncoded(b.Hash(), p.buf, meta)
-				f := int64(e.Freq)
-				if f == 0 {
-					misses++
-				}
-				rfLeft -= f
-				rfRight += rInt - f
+			return t.LookupBatch(&p.batch, len(bs))
+		}
+		es := p.scratch(len(bs))
+		if nw == 1 {
+			for i, b := range bs {
+				es[i], _ = t.Lookup1Hashed(b.Hash(), b.Words()[0])
 			}
 		} else {
-			for _, b := range bs {
-				f := int64(p.entryOf(b).Freq)
-				if f == 0 {
-					misses++
-				}
-				rfLeft -= f
-				rfRight += rInt - f
+			for i, b := range bs {
+				es[i], _ = t.LookupHashed(b.Hash(), b.Words())
 			}
 		}
-		RecordQueries(1, len(bs), misses)
+		return es
+	case *bfhtable.SuccinctTable:
+		if batched {
+			p.sbatch.Reset()
+			for _, b := range bs {
+				t.BatchAppend(&p.sbatch, b.Hash(), b.Words())
+			}
+			return t.LookupBatch(&p.sbatch)
+		}
+		// Encode each query mask into the prober's scratch (no allocation
+		// once warm); the (bucket, length) header resolves most misses
+		// before any key bytes are read.
+		es := p.scratch(len(bs))
+		var meta uint32
+		for i, b := range bs {
+			p.buf, meta = t.AppendEncoded(p.buf[:0], b.Words())
+			es[i], _ = t.LookupEncoded(b.Hash(), p.buf, meta)
+		}
+		return es
+	}
+	panic("core: unknown hash storage engine")
+}
+
+// scratch returns the prober's record buffer resized to n.
+func (p *Prober) scratch(n int) []entry {
+	if cap(p.entries) < n {
+		p.entries = make([]entry, n)
+	}
+	return p.entries[:n]
+}
+
+// fold is Algorithm 2's per-query arithmetic: es[i] is the stored record
+// of bs[i], hits is tally(es), and each variant is a different fold over
+// the same records — the extensibility property the paper emphasizes
+// (§VII.F).
+func (h *FreqHash) fold(bs []bipart.Bipartition, es []entry, hits int64, v Variant) (float64, error) {
+	r := float64(h.numTrees)
+	switch v {
+	case Plain, Normalized:
+		// RFleft starts at sumBFHR and loses each query bipartition's
+		// frequency; RFright adds r − freq per query bipartition. Integer
+		// arithmetic, so the order of the records never matters.
+		rfLeft := int64(h.sum) - hits
+		rfRight := int64(len(es))*int64(h.numTrees) - hits
 		avg := float64(rfLeft+rfRight) / r
 		if v == Normalized {
-			n := h.taxa.Len()
-			maxRF := 2 * (n - 3)
+			maxRF := 2 * (h.taxa.Len() - 3)
 			if maxRF <= 0 {
 				return 0, nil
 			}
@@ -465,101 +540,34 @@ func (p *Prober) averageRFUncached(bs []bipart.Bipartition, v Variant) (float64,
 		// bipartition's own length once per reference tree lacking it.
 		left := h.lenSum
 		right := 0.0
-		for _, b := range bs {
-			if !b.HasLength {
-				return 0, fmt.Errorf("query bipartition without branch length in weighted variant")
-			}
-			e := p.entryOf(b)
-			if e.Freq == 0 {
-				misses++
-			}
-			left -= e.LengthSum
-			right += b.Length * (r - float64(e.Freq))
-		}
-		RecordQueries(1, len(bs), misses)
-		return (left + right) / r, nil
-	default:
-		return 0, fmt.Errorf("unknown variant %v", v)
-	}
-}
-
-// averageRFBatched is the probe pass over a table backend via its
-// LookupBatch: keys are loaded into the prober's batch scratch (raw words
-// for open addressing, compressed encodings for succinct), probed in
-// shard-then-slot order for locality, and the entries come back in the
-// original index order — so the fold below runs in exactly the same order
-// as the scalar loop, keeping even the Weighted variant's float summation
-// bit-identical.
-func (p *Prober) averageRFBatched(bs []bipart.Bipartition, v Variant) (float64, error) {
-	h := p.h
-	var entries []bfhtable.Entry
-	if st := h.st; st != nil {
-		pb := &p.sbatch
-		pb.Reset()
-		for _, b := range bs {
-			st.BatchAppend(pb, b.Hash(), b.Words())
-		}
-		entries = st.LookupBatch(pb)
-	} else {
-		oa := h.oa
-		nw := oa.WordsPerKey()
-		keys, hashes := p.batch.Reset(len(bs), nw)
-		if nw == 1 {
-			for i, b := range bs {
-				keys[i] = b.Words()[0]
-				hashes[i] = b.Hash()
-			}
-		} else {
-			for i, b := range bs {
-				copy(keys[i*nw:(i+1)*nw], b.Words())
-				hashes[i] = b.Hash()
-			}
-		}
-		entries = oa.LookupBatch(&p.batch, len(bs))
-	}
-	mProbeBatchSize.Observe(float64(len(bs)))
-	r := float64(h.numTrees)
-	misses := 0
-	switch v {
-	case Plain, Normalized:
-		rfLeft := int64(h.sum)
-		rfRight := int64(0)
-		rInt := int64(h.numTrees)
-		for i := range entries {
-			f := int64(entries[i].Freq)
-			if f == 0 {
-				misses++
-			}
-			rfLeft -= f
-			rfRight += rInt - f
-		}
-		RecordQueries(1, len(bs), misses)
-		avg := float64(rfLeft+rfRight) / r
-		if v == Normalized {
-			n := h.taxa.Len()
-			maxRF := 2 * (n - 3)
-			if maxRF <= 0 {
-				return 0, nil
-			}
-			avg /= float64(maxRF)
-		}
-		return avg, nil
-	case Weighted:
-		left := h.lenSum
-		right := 0.0
 		for i, b := range bs {
 			if !b.HasLength {
 				return 0, fmt.Errorf("query bipartition without branch length in weighted variant")
 			}
-			e := entries[i]
-			if e.Freq == 0 {
-				misses++
-			}
-			left -= e.LengthSum
-			right += b.Length * (r - float64(e.Freq))
+			left -= es[i].LengthSum
+			right += b.Length * (r - float64(es[i].Freq))
 		}
-		RecordQueries(1, len(bs), misses)
 		return (left + right) / r, nil
+	case Info:
+		// The weighted fold with each bipartition's information content
+		// in place of its branch length (see info.go).
+		table, icSum := h.infoState()
+		n := h.taxa.Len()
+		left := icSum
+		right := 0.0
+		for i, b := range bs {
+			hb := table.info(n, b.Size())
+			f := float64(es[i].Freq)
+			left -= f * hb
+			right += hb * (r - f)
+		}
+		avg := (left + right) / r
+		if avg < 0 {
+			// Guard the floating-point dust that subtraction of equal
+			// masses can leave behind; true distances are never negative.
+			avg = 0
+		}
+		return avg, nil
 	default:
 		return 0, fmt.Errorf("unknown variant %v", v)
 	}

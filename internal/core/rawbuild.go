@@ -46,7 +46,7 @@ func rawCapable(src collection.Source) (collection.RawSource, bool) {
 // buildRaw is Build's worker body over raw statements.
 func buildRaw(rs collection.RawSource, ts *taxa.Set, opts BuildOptions, h *FreqHash) error {
 	workers := EffectiveWorkers(opts.workers(), sourceLen(rs))
-	shards := opts.shardCount(workers)
+	backend, shards := opts.resolveBackendFor(ts.Len()), opts.shardCount(workers)
 	jobs := make(chan string, workers*4)
 	accums := make([]*buildAccum, workers)
 	errs := make([]error, workers)
@@ -62,7 +62,7 @@ func buildRaw(rs collection.RawSource, ts *taxa.Set, opts BuildOptions, h *FreqH
 				Filter:          opts.Filter,
 				ReuseMasks:      true,
 			}
-			acc := newBuildAccum(h, wordsPerKey(ts), shards)
+			acc := newBuildAccum(backend, ts, shards)
 			for stmt := range jobs {
 				t, err := newick.Parse(stmt)
 				if err != nil {
@@ -78,7 +78,7 @@ func buildRaw(rs collection.RawSource, ts *taxa.Set, opts BuildOptions, h *FreqH
 					}
 					continue
 				}
-				acc.add(h, bs)
+				acc.add(bs)
 			}
 			accums[w] = acc
 		}(w)

@@ -4,16 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/bfhtable"
-	"repro/internal/bipart"
-	"repro/internal/bitset"
 	"repro/internal/taxa"
 )
 
-// Hash reassembly from serialized entries — the receiving half of the
-// distributed snapshot protocol (internal/distrib). A snapshot walks
-// RangeShardRaw; a Restorer folds those raw (words, entry) pairs back into
-// a fresh hash on any backend, so shards can be checkpointed and migrated
-// between workers regardless of the engine either side runs.
+// Hash reassembly from raw entries — the shard merge behind distributed
+// failover (internal/distrib). RangeShardRaw walks one hash; a Restorer
+// folds those raw (words, entry) pairs into a fresh hash on either
+// backend, so shards merge regardless of the engine either side runs.
 
 // RestoreSpec describes the hash being reassembled.
 type RestoreSpec struct {
@@ -23,17 +20,16 @@ type RestoreSpec struct {
 	NumTrees int
 	// Weighted records whether every entry carries meaningful length sums.
 	Weighted bool
-	// CompressKeys and Backend select the engine, with the same defaulting
-	// rules as BuildOptions.
-	CompressKeys bool
-	Backend      Backend
-	// HashShards overrides the open-addressing shard count (default 1 for
-	// a restored table; restores are single-threaded folds).
+	// Backend selects the engine, with the same defaulting rules as
+	// BuildOptions.
+	Backend Backend
+	// HashShards overrides the table's shard count (default 1 for a
+	// restored table; restores are single-threaded folds).
 	HashShards int
 }
 
-// Restorer accumulates snapshot entries into a hash. Not safe for
-// concurrent use.
+// Restorer accumulates raw entries into a hash. Not safe for concurrent
+// use.
 type Restorer struct {
 	h  *FreqHash
 	nw int
@@ -44,70 +40,40 @@ func NewRestorer(spec RestoreSpec) (*Restorer, error) {
 	if spec.Taxa == nil {
 		return nil, fmt.Errorf("core: restore requires a taxon catalogue")
 	}
-	if (spec.Backend == BackendOpenAddressing || spec.Backend == BackendSuccinct) && spec.CompressKeys {
-		return nil, fmt.Errorf("core: compressed keys require the map backend")
-	}
-	h := &FreqHash{
-		taxa:       spec.Taxa,
-		numTrees:   spec.NumTrees,
-		weighted:   spec.Weighted,
-		compressed: spec.CompressKeys,
-	}
-	opts := BuildOptions{CompressKeys: spec.CompressKeys, Backend: spec.Backend}
 	shards := spec.HashShards
 	if shards <= 0 {
 		shards = 1
 	}
-	switch opts.resolveBackendFor(spec.Taxa.Len()) {
-	case BackendOpenAddressing:
-		h.oa = bfhtable.New(wordsPerKey(spec.Taxa), shards)
-	case BackendSuccinct:
-		h.st = bfhtable.NewSuccinct(spec.Taxa.Len(), shards)
-	default:
-		h.m = make(map[string]entry)
+	b := BuildOptions{Backend: spec.Backend}.resolveBackendFor(spec.Taxa.Len())
+	h := &FreqHash{
+		taxa:     spec.Taxa,
+		tbl:      newStore(b, spec.Taxa, shards),
+		numTrees: spec.NumTrees,
+		weighted: spec.Weighted,
 	}
 	return &Restorer{h: h, nw: wordsPerKey(spec.Taxa)}, nil
 }
 
-// AddEntry folds one snapshot entry: a canonical mask as raw words plus
-// its aggregated record. Frequencies accumulate, so entries for the same
+// AddEntry folds one entry: a canonical mask as raw words plus its
+// aggregated record. Frequencies accumulate, so entries for the same
 // bipartition (e.g. from two merged shards) fold correctly.
 func (r *Restorer) AddEntry(words []uint64, e bfhtable.Entry) error {
 	if len(words) != r.nw {
 		return fmt.Errorf("core: restore entry has %d words, want %d", len(words), r.nw)
 	}
-	h := r.h
-	switch {
-	case h.oa != nil:
-		h.oa.AddEntry(words, e)
-	case h.st != nil:
-		h.st.AddEntry(words, e)
-	default:
-		mask, err := bitset.FromWords(words, h.taxa.Len())
-		if err != nil {
-			return fmt.Errorf("core: restore entry: %w", err)
-		}
-		k := h.keyOf(bipart.FromMask(mask, 0))
-		me := h.m[k]
-		me.Freq += e.Freq
-		me.Size = e.Size
-		me.LengthSum += e.LengthSum
-		h.m[k] = me
-	}
-	h.sum += uint64(e.Freq)
-	h.lenSum += e.LengthSum
+	r.h.tbl.AddEntry(words, e)
+	r.h.sum += uint64(e.Freq)
+	r.h.lenSum += e.LengthSum
 	return nil
 }
 
 // Finish returns the reassembled hash. A restored succinct table is
 // frozen here so its shared-prefix dictionary is rebuilt over the full
-// reassembled population (worker snapshots arrive dictionary-free).
+// reassembled population (merged shards arrive dictionary-free).
 func (r *Restorer) Finish() (*FreqHash, error) {
 	if r.h.numTrees <= 0 {
 		return nil, fmt.Errorf("core: restored hash has no trees")
 	}
-	if r.h.st != nil {
-		r.h.st.Freeze()
-	}
+	freeze(r.h.tbl)
 	return r.h, nil
 }

@@ -13,10 +13,6 @@ import (
 // bit-exact even for weighted sums, whose floating-point value depends on
 // accumulation order.
 
-// OpenAddr returns the open-addressing backend table, or nil when another
-// backend is active. Snapshot writers use it to reach shard storage.
-func (h *FreqHash) OpenAddr() *bfhtable.Table { return h.oa }
-
 // TotalLengthSum returns Σ branch length over every hashed bipartition
 // instance — the weighted counterpart of TotalBipartitions. Snapshots
 // persist it so a reload restores the exact float64.
@@ -27,78 +23,43 @@ func (h *FreqHash) TotalLengthSum() float64 { return h.lenSum }
 // cross-checked against the table's stored frequencies so a snapshot whose
 // sections and header disagree is rejected.
 func AdoptTable(spec RestoreSpec, tbl *bfhtable.Table, sum uint64, lenSum float64) (*FreqHash, error) {
-	if spec.Taxa == nil {
-		return nil, fmt.Errorf("core: adopt requires a taxon catalogue")
-	}
-	if spec.NumTrees <= 0 {
-		return nil, fmt.Errorf("core: adopted hash has no trees")
-	}
-	if spec.CompressKeys {
-		return nil, fmt.Errorf("core: compressed keys require the map backend")
-	}
 	if tbl == nil {
 		return nil, fmt.Errorf("core: adopt requires a table")
 	}
-	if nw := wordsPerKey(spec.Taxa); tbl.WordsPerKey() != nw {
-		return nil, fmt.Errorf("core: adopted table has %d-word keys, catalogue needs %d", tbl.WordsPerKey(), nw)
+	if spec.Taxa != nil && tbl.WordsPerKey() != wordsPerKey(spec.Taxa) {
+		return nil, fmt.Errorf("core: adopted table has %d-word keys, catalogue needs %d", tbl.WordsPerKey(), wordsPerKey(spec.Taxa))
 	}
-	if got, _ := tbl.Totals(); got != sum {
-		return nil, fmt.Errorf("core: adopted table holds %d bipartition instances, header declares %d", got, sum)
-	}
-	return &FreqHash{
-		taxa:     spec.Taxa,
-		oa:       tbl,
-		sum:      sum,
-		lenSum:   lenSum,
-		numTrees: spec.NumTrees,
-		weighted: spec.Weighted,
-	}, nil
+	return adopt(spec, tbl, sum, lenSum)
 }
 
 // AdoptSuccinct is AdoptTable for the succinct backend.
 func AdoptSuccinct(spec RestoreSpec, tbl *bfhtable.SuccinctTable, sum uint64, lenSum float64) (*FreqHash, error) {
+	if tbl == nil {
+		return nil, fmt.Errorf("core: adopt requires a table")
+	}
+	if spec.Taxa != nil && tbl.Width() != spec.Taxa.Len() {
+		return nil, fmt.Errorf("core: adopted table is %d taxa wide, catalogue has %d", tbl.Width(), spec.Taxa.Len())
+	}
+	return adopt(spec, tbl, sum, lenSum)
+}
+
+// adopt is the engine-independent half of AdoptTable and AdoptSuccinct.
+func adopt(spec RestoreSpec, tbl store, sum uint64, lenSum float64) (*FreqHash, error) {
 	if spec.Taxa == nil {
 		return nil, fmt.Errorf("core: adopt requires a taxon catalogue")
 	}
 	if spec.NumTrees <= 0 {
 		return nil, fmt.Errorf("core: adopted hash has no trees")
 	}
-	if spec.CompressKeys {
-		return nil, fmt.Errorf("core: compressed keys require the map backend")
-	}
-	if tbl == nil {
-		return nil, fmt.Errorf("core: adopt requires a table")
-	}
-	if tbl.Width() != spec.Taxa.Len() {
-		return nil, fmt.Errorf("core: adopted table is %d taxa wide, catalogue has %d", tbl.Width(), spec.Taxa.Len())
-	}
 	if got, _ := tbl.Totals(); got != sum {
 		return nil, fmt.Errorf("core: adopted table holds %d bipartition instances, header declares %d", got, sum)
 	}
 	return &FreqHash{
 		taxa:     spec.Taxa,
-		st:       tbl,
+		tbl:      tbl,
 		sum:      sum,
 		lenSum:   lenSum,
 		numTrees: spec.NumTrees,
 		weighted: spec.Weighted,
 	}, nil
-}
-
-// OverrideTotals replaces the restorer's accumulated totals with the
-// snapshot's authoritative ones. The frequency total must match what the
-// entries actually summed to (a mismatch means a corrupt snapshot); the
-// tree count and length total are adopted verbatim, restoring the exact
-// float64 the saved hash held rather than one re-accumulated in a
-// different order.
-func (r *Restorer) OverrideTotals(trees int, sum uint64, lenSum float64) error {
-	if trees <= 0 {
-		return fmt.Errorf("core: restored hash has no trees")
-	}
-	if r.h.sum != sum {
-		return fmt.Errorf("core: restored entries sum to %d instances, header declares %d", r.h.sum, sum)
-	}
-	r.h.numTrees = trees
-	r.h.lenSum = lenSum
-	return nil
 }

@@ -11,10 +11,9 @@ import (
 // exact per-bipartition frequencies, adding or removing a reference tree
 // is a handful of counter updates — no rebuild, no other engine supports
 // this. Useful for growing collections (e.g. posterior samples arriving
-// from an MCMC run) and for leave-one-out analyses. Both backends support
-// it: the map deletes exhausted keys, and both table backends keep them
-// as keyed tombstones (probe chains stay intact; a later AddTree revives
-// the slot).
+// from an MCMC run) and for leave-one-out analyses. Both backends keep
+// exhausted keys as keyed tombstones (probe chains stay intact; a later
+// AddTree revives the slot).
 
 // AddTree folds one more reference tree into the hash (r increases by 1).
 func (h *FreqHash) AddTree(t *tree.Tree, filter bipart.Filter, requireComplete bool) error {
@@ -31,19 +30,7 @@ func (h *FreqHash) AddTree(t *tree.Tree, filter bipart.Filter, requireComplete b
 		} else {
 			h.weighted = false
 		}
-		switch {
-		case h.oa != nil:
-			h.oa.Add(b.Words(), uint32(b.Size()), length)
-		case h.st != nil:
-			h.st.Add(b.Words(), uint32(b.Size()), length)
-		default:
-			k := h.keyOf(b)
-			e := h.m[k]
-			e.Freq++
-			e.Size = uint32(b.Size())
-			e.LengthSum += length
-			h.m[k] = e
-		}
+		h.tbl.Add(b.Words(), uint32(b.Size()), length)
 		h.sum++
 		h.lenSum += length
 	}
@@ -81,22 +68,7 @@ func (h *FreqHash) RemoveTree(t *tree.Tree, filter bipart.Filter, requireComplet
 		if b.HasLength {
 			length = b.Length
 		}
-		switch {
-		case h.oa != nil:
-			h.oa.Dec(b.Words(), length)
-		case h.st != nil:
-			h.st.Dec(b.Words(), length)
-		default:
-			k := h.keyOf(b)
-			e := h.m[k]
-			e.Freq--
-			e.LengthSum -= length
-			if e.Freq == 0 {
-				delete(h.m, k)
-			} else {
-				h.m[k] = e
-			}
-		}
+		h.tbl.Dec(b.Words(), length)
 		h.lenSum -= length
 		h.sum--
 	}

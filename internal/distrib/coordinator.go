@@ -367,7 +367,8 @@ func (c *Coordinator) liveIndexes() []int {
 
 // Load initializes every worker with the catalogue and distributes the
 // reference collection round-robin in chunks. It must be called once
-// before Query.
+// before Query. compress selects the succinct backend — the §IX
+// compressed keys — on every shard, overriding c.Backend.
 func (c *Coordinator) Load(refs collection.Source, ts *taxa.Set, compress bool) error {
 	return c.LoadContext(context.Background(), refs, ts, compress)
 }
@@ -382,11 +383,14 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 	ctx, span := obs.StartSpan(ctx, "coord.load")
 	defer span.End()
 	c.taxa = ts
+	backend := c.Backend
+	if compress {
+		backend = core.BackendSuccinct
+	}
 	init := InitArgs{
-		TaxaNames:    ts.Names(),
-		CompressKeys: compress,
-		Backend:      c.Backend.String(),
-		HashShards:   c.HashShards,
+		TaxaNames:  ts.Names(),
+		Backend:    backend.String(),
+		HashShards: c.HashShards,
 	}
 	n := c.NumWorkers()
 	for i := 0; i < n; i++ {

@@ -51,15 +51,12 @@ import (
 type InitArgs struct {
 	// TaxaNames in catalogue order (workers must agree on bit positions).
 	TaxaNames []string
-	// CompressKeys selects the §IX compact key encoding on the shard
-	// (forces the map backend).
-	CompressKeys bool
-	// Backend names the shard's hash engine ("auto", "openaddr", "map",
+	// Backend names the shard's hash engine ("auto", "openaddr",
 	// "succinct"); empty selects auto. Strings keep the wire format free
 	// of core enums.
 	Backend string
-	// HashShards overrides the open-addressing backend's internal shard
-	// count (0 = default).
+	// HashShards overrides the hash table's internal shard count
+	// (0 = default).
 	HashShards int
 }
 
@@ -146,7 +143,6 @@ type Worker struct {
 	mu         sync.Mutex
 	taxa       *taxa.Set
 	hash       *core.FreqHash
-	compress   bool
 	backend    core.Backend
 	hashShards int
 	// lastSeq is the highest Load chunk sequence number folded in; chunks
@@ -199,14 +195,13 @@ func (w *Worker) init(args InitArgs, reply *LoadReply) error {
 	defer w.mu.Unlock()
 	w.taxa = ts
 	w.hash = nil
-	w.compress = args.CompressKeys
 	w.backend = backend
 	w.hashShards = args.HashShards
 	w.lastSeq = 0
 	w.adopted = nil
 	*reply = LoadReply{}
 	slog.Debug("worker initialized", "taxa", len(args.TaxaNames),
-		"compress", args.CompressKeys, "backend", backend.String(), "hash_shards", args.HashShards)
+		"backend", backend.String(), "hash_shards", args.HashShards)
 	return nil
 }
 
@@ -239,7 +234,6 @@ func (w *Worker) load(args LoadArgs, reply *LoadReply) error {
 	if w.hash == nil {
 		h, err := core.Build(collection.FromTrees(trees), w.taxa, core.BuildOptions{
 			RequireComplete: true,
-			CompressKeys:    w.compress,
 			Backend:         w.backend,
 			HashShards:      w.hashShards,
 		})
@@ -324,18 +318,12 @@ func (w *Worker) queryShard(span *obs.Span, args QueryArgs, reply *QueryReply) e
 		if err != nil {
 			return fmt.Errorf("distrib: query %d: %w", i, err)
 		}
-		var hits int64
 		if p != nil {
+			hits, m := p.Hits(bs)
+			reply.Hits[i] = hits
 			lookups += len(bs)
-			for _, b := range bs {
-				f := int64(p.Frequency(b))
-				if f == 0 {
-					misses++
-				}
-				hits += f
-			}
+			misses += m
 		}
-		reply.Hits[i] = hits
 		reply.Splits[i] = int64(len(bs))
 	}
 	if h != nil {

@@ -80,6 +80,9 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestDistributedCompressedShards: Load's compress flag puts every shard
+// on the succinct backend (the §IX compressed keys), with answers equal
+// to a local build.
 func TestDistributedCompressedShards(t *testing.T) {
 	trees, ts := testCollection(5, 12, 60)
 	addrs := startWorkers(t, 2)
@@ -90,6 +93,16 @@ func TestDistributedCompressedShards(t *testing.T) {
 	defer coord.Close()
 	if err := coord.Load(collection.FromTrees(trees), ts, true); err != nil {
 		t.Fatal(err)
+	}
+	// One default-size chunk: every tree lands on worker 0.
+	data, err := coord.SnapshotWorker(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := DecodeSnapshot(data); err != nil {
+		t.Fatal(err)
+	} else if h.Backend() != core.BackendSuccinct {
+		t.Errorf("worker built a %v hash under compress, want succinct", h.Backend())
 	}
 	got, err := coord.AverageRF(collection.FromTrees(trees[:10]))
 	if err != nil {

@@ -44,7 +44,7 @@ func EncodeSnapshot(h *core.FreqHash) ([]byte, error) {
 }
 
 // DecodeSnapshot reassembles a hash from the stream format. The restored
-// hash keeps the snapshot's backend and key scheme.
+// hash keeps the snapshot's backend.
 func DecodeSnapshot(data []byte) (*core.FreqHash, error) {
 	h, _, err := bfhsnap.ReadStream(bytes.NewReader(data), int64(len(data)))
 	return h, err
@@ -125,7 +125,6 @@ func (w *Worker) restore(args RestoreArgs, reply *LoadReply) error {
 	defer w.mu.Unlock()
 	w.taxa = h.Taxa()
 	w.hash = h
-	w.compress = h.Compressed()
 	w.adopted = nil
 	reply.ShardTrees = h.NumTrees()
 	reply.ShardUnique = h.UniqueBipartitions()
@@ -177,7 +176,6 @@ func (w *Worker) adopt(args AdoptArgs, reply *LoadReply) error {
 		// Fresh or empty worker: the orphan becomes its whole partition.
 		w.taxa = orphan.Taxa()
 		w.hash = orphan
-		w.compress = orphan.Compressed()
 	} else {
 		merged, err := mergeHashes(w.hash, orphan)
 		if err != nil {
@@ -198,7 +196,7 @@ func (w *Worker) adopt(args AdoptArgs, reply *LoadReply) error {
 
 // mergeHashes folds two partial frequency hashes over the same taxon
 // catalogue into one: frequencies add, tree counts add, and the result
-// keeps a's backend and key scheme. This is the shard-merge primitive
+// keeps a's backend. This is the shard-merge primitive
 // behind failover.
 func mergeHashes(a, b *core.FreqHash) (*core.FreqHash, error) {
 	an, bn := a.Taxa().Names(), b.Taxa().Names()
@@ -211,12 +209,11 @@ func mergeHashes(a, b *core.FreqHash) (*core.FreqHash, error) {
 		}
 	}
 	rest, err := core.NewRestorer(core.RestoreSpec{
-		Taxa:         a.Taxa(),
-		NumTrees:     a.NumTrees() + b.NumTrees(),
-		Weighted:     a.Weighted() || b.Weighted(),
-		CompressKeys: a.Compressed(),
-		Backend:      a.Backend(),
-		HashShards:   a.NumShards(),
+		Taxa:       a.Taxa(),
+		NumTrees:   a.NumTrees() + b.NumTrees(),
+		Weighted:   a.Weighted() || b.Weighted(),
+		Backend:    a.Backend(),
+		HashShards: a.NumShards(),
 	})
 	if err != nil {
 		return nil, err
@@ -224,12 +221,10 @@ func mergeHashes(a, b *core.FreqHash) (*core.FreqHash, error) {
 	for _, h := range []*core.FreqHash{a, b} {
 		for s := 0; s < h.NumShards(); s++ {
 			var addErr error
-			if err := h.RangeShardRaw(s, func(words []uint64, e bfhtable.Entry) bool {
+			h.RangeShardRaw(s, func(words []uint64, e bfhtable.Entry) bool {
 				addErr = rest.AddEntry(words, e)
 				return addErr == nil
-			}); err != nil {
-				return nil, err
-			}
+			})
 			if addErr != nil {
 				return nil, addErr
 			}
@@ -269,7 +264,7 @@ func (c *Coordinator) SaveSnapshotsContext(ctx context.Context, dir string) (int
 		Shards:      c.HashShards,
 		Fingerprint: c.fp,
 	}
-	// Shard count, key scheme and weighted totals are worker-side facts;
+	// Shard count and weighted totals are worker-side facts;
 	// each writer folds its part's header into the manifest as it streams
 	// (PublishWorkerEpoch runs writers before serializing MANIFEST).
 	var lenSum float64
@@ -286,7 +281,6 @@ func (c *Coordinator) SaveSnapshotsContext(ctx context.Context, dir string) (int
 				return fmt.Errorf("distrib: worker %d snapshot: %w", i, err)
 			}
 			man.Shards = hdr.Shards
-			man.Compressed = hdr.Comp
 			man.Weighted = man.Weighted || hdr.Weighted
 			lenSum += hdr.LenSum
 			man.LenSumBits = math.Float64bits(lenSum)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestSnapshotRoundTrip: encode→decode must reproduce an observationally
-// identical hash, for both backends and both key schemes.
+// identical hash, for both backends.
 func TestSnapshotRoundTrip(t *testing.T) {
 	trees, ts := testCollection(23, 70, 60) // 2 words per mask
 	src := collection.FromTrees(trees)
@@ -19,8 +19,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		opts core.BuildOptions
 	}{
 		{"openaddr", core.BuildOptions{RequireComplete: true, Backend: core.BackendOpenAddressing}},
-		{"map", core.BuildOptions{RequireComplete: true, Backend: core.BackendMap}},
-		{"map-compressed", core.BuildOptions{RequireComplete: true, CompressKeys: true}},
 		{"succinct", core.BuildOptions{RequireComplete: true, Backend: core.BackendSuccinct}},
 	}
 	for _, c := range cases {
@@ -40,7 +38,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			got.UniqueBipartitions() != h.UniqueBipartitions() ||
 			got.TotalBipartitions() != h.TotalBipartitions() ||
 			got.Weighted() != h.Weighted() ||
-			got.Compressed() != h.Compressed() ||
 			got.Backend() != h.Backend() {
 			t.Fatalf("%s: restored shape differs: trees %d/%d unique %d/%d total %d/%d",
 				c.name, got.NumTrees(), h.NumTrees(),
@@ -223,7 +220,7 @@ func TestClusterSnapshotSaveLoad(t *testing.T) {
 // TestInitBackendSelection drives the InitArgs backend plumbing end to end.
 func TestInitBackendSelection(t *testing.T) {
 	trees, ts := testCollection(7, 12, 40)
-	for _, backend := range []core.Backend{core.BackendOpenAddressing, core.BackendMap, core.BackendSuccinct} {
+	for _, backend := range []core.Backend{core.BackendOpenAddressing, core.BackendSuccinct} {
 		addrs := startWorkers(t, 1)
 		coord, err := Dial(addrs)
 		if err != nil {

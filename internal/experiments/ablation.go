@@ -16,9 +16,9 @@ import (
 
 // Ablation measures the design choices DESIGN.md calls out:
 //
-//   - §IX key compression: hash build time and memory with raw vs
-//     compressed keys, at growing n (compression wins more as bitmasks
-//     get wider);
+//   - §IX key compression: hash build time and memory with raw
+//     (open-addressing) vs compressed (succinct) keys, at growing n
+//     (compression wins more as bitmasks get wider);
 //   - worker scaling: BFHRF build+query wall time at 1/2/4/8/16 workers,
 //     quantifying the paper's observed diminishing 8→16 returns;
 //   - streaming vs materialized input: the cost of the collection.Source
@@ -38,7 +38,12 @@ func (c *Config) Ablation() *Report {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("ablation n=%d: %v", n, err))
 			continue
 		}
-		for _, compress := range []bool{false, true} {
+		// Raw keys are the open-addressing table's mask words; the
+		// compressed ones are the succinct table's encoded arena keys.
+		for _, kc := range []struct {
+			label   string
+			backend core.Backend
+		}{{"raw", core.BackendOpenAddressing}, {"compressed", core.BackendSuccinct}} {
 			src, err := collection.OpenFile(path)
 			if err != nil {
 				rep.Notes = append(rep.Notes, err.Error())
@@ -47,14 +52,9 @@ func (c *Config) Ablation() *Report {
 			var h *core.FreqHash
 			m := memprof.Measure(func() error {
 				var err error
-				// Both rows pin the map backend: §IX compares key
-				// schemes within the string-keyed engine, and the
-				// open-addressing default stores raw words only. The
-				// backend itself is ablated in the table below.
 				h, err = core.Build(src, ts, core.BuildOptions{
 					RequireComplete: true,
-					CompressKeys:    compress,
-					Backend:         core.BackendMap,
+					Backend:         kc.backend,
 				})
 				return err
 			})
@@ -63,35 +63,34 @@ func (c *Config) Ablation() *Report {
 				rep.Notes = append(rep.Notes, m.Err.Error())
 				continue
 			}
-			label := "raw"
-			if compress {
-				label = "compressed"
-			}
-			comp.AddRow(n, r, label, fmt.Sprintf("%.4f", m.Minutes()),
+			comp.AddRow(n, r, kc.label, fmt.Sprintf("%.4f", m.Minutes()),
 				fmt.Sprintf("%.1f", m.PeakHeapMB()), keyBytesOf(h))
 		}
 	}
 
 	// --- hash backend --------------------------------------------------------
-	// Open-addressing vs map vs map+compressed on one workload, split by
-	// phase: build wall time, then pure query passes over pre-extracted
-	// splits (the same measured region as the BFHRF-OA/BFHRF-MAP perf
-	// records), so the lookup cost the backend changes is visible apart
-	// from parsing.
+	// Open-addressing vs map vs map+compressed vs succinct on one
+	// workload, split by phase: build wall time, then pure query passes
+	// over pre-extracted splits (the same measured region as the
+	// BFHRF-OA/BFHRF-MAP perf records), so the lookup cost the backend
+	// changes is visible apart from parsing. The map rows are the
+	// dict baseline (dict.go) re-keyed from an open-addressing build,
+	// their build time including that re-keying.
 	back := tabfmt.New("Hash backend ablation — open-addressing vs map vs succinct",
 		"Backend", "n", "R", "Build(m)", "Query(m)", "PeakMem(MB)", "Unique")
 	rep.Tables = append(rep.Tables, back)
 	bspec := dataset.Avian()
 	br := c.ScaleTrees(14446)
 	for _, bc := range []struct {
-		label    string
-		backend  core.Backend
-		compress bool
+		label   string
+		backend core.Backend
+		dict    bool
+		compact bool
 	}{
-		{"openaddr", core.BackendOpenAddressing, false},
-		{"map", core.BackendMap, false},
-		{"map+compressed", core.BackendMap, true},
-		{"succinct", core.BackendSuccinct, false},
+		{"openaddr", core.BackendOpenAddressing, false, false},
+		{"map", core.BackendOpenAddressing, true, false},
+		{"map+compressed", core.BackendOpenAddressing, true, true},
+		{"succinct", core.BackendSuccinct, false, false},
 	} {
 		path, ts, err := c.materialize(bspec, br)
 		if err != nil {
@@ -104,13 +103,16 @@ func (c *Config) Ablation() *Report {
 			break
 		}
 		var h *core.FreqHash
+		var d *dictHash
 		mb := memprof.Measure(func() error {
 			var err error
 			h, err = core.Build(src, ts, core.BuildOptions{
 				RequireComplete: true,
-				CompressKeys:    bc.compress,
 				Backend:         bc.backend,
 			})
+			if err == nil && bc.dict {
+				d, err = newDictHash(h, bc.compact)
+			}
 			return err
 		})
 		src.Close()
@@ -124,10 +126,12 @@ func (c *Config) Ablation() *Report {
 			continue
 		}
 		mq := memprof.Measure(func() error {
-			p := h.NewProber()
+			p, dp := h.NewProber(), &dictProber{d: d}
 			for pass := 0; pass < 10; pass++ {
 				for _, bs := range splits {
-					if _, err := p.AverageRFOfSplits(bs, core.Plain); err != nil {
+					if d != nil {
+						dp.averageRF(bs)
+					} else if _, err := p.AverageRFOfSplits(bs, core.Plain); err != nil {
 						return err
 					}
 				}

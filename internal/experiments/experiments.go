@@ -44,7 +44,9 @@ const (
 	// BFHRFOA, BFHRFMAP, and BFHRFSUCC are the hash-backend ablation
 	// trio, beyond the paper's six configurations: identical 8-worker
 	// BFHRF runs that pin the frequency hash to the open-addressing
-	// table, the legacy Go map, or the succinct compressed-key table.
+	// table, the paper's Go-map dict (the experiments-side baseline of
+	// dict.go, re-keyed from an open-addressing build), or the succinct
+	// compressed-key table.
 	// Their measured region is repeated query passes over pre-extracted
 	// bipartition sets (build and parsing excluded), so the ns/op ratios
 	// isolate the per-lookup cost each backend changes, and the peak-heap
@@ -357,14 +359,10 @@ const backendQueryPasses = 100
 const hugeTaxaQueryPasses = 10
 
 func backendOf(engine Engine) core.Backend {
-	switch engine {
-	case BFHRFMAP:
-		return core.BackendMap
-	case BFHRFSUCC:
+	if engine == BFHRFSUCC {
 		return core.BackendSuccinct
-	default:
-		return core.BackendOpenAddressing
 	}
+	return core.BackendOpenAddressing
 }
 
 // runBFHRFBackend measures the BFHRF-OA / BFHRF-MAP / BFHRF-SUCC trio.
@@ -392,6 +390,22 @@ func (c *Config) runBFHRFBackend(engine Engine, src *collection.File, path strin
 	passes := backendQueryPasses
 	if ts.Len() >= 4096 {
 		passes = hugeTaxaQueryPasses
+	}
+	if engine == BFHRFMAP {
+		d, err := newDictHash(h, false)
+		if err != nil {
+			return memprof.Measurement{}, 1, err
+		}
+		m := memprof.MeasureWith(d.footprintBytes, func() error {
+			p := &dictProber{d: d}
+			for pass := 0; pass < passes; pass++ {
+				for _, bs := range splits {
+					p.averageRF(bs)
+				}
+			}
+			return nil
+		})
+		return m, 1, m.Err
 	}
 	m := memprof.MeasureWith(h.FootprintBytes, func() error {
 		p := h.NewProber()

@@ -29,7 +29,8 @@ var perfEngines = []Engine{DS, DSMP8, HashRF, BFHRF8}
 
 // avianEngines adds the hash-backend A/B pair (BFHRF-OA vs BFHRF-MAP) to
 // the paper families on the avian point: the trajectory's record of the
-// open-addressing table's query-phase advantage over the legacy map.
+// open-addressing table's query-phase advantage over the paper's
+// dict-based hash (the experiments-side baseline of dict.go).
 var avianEngines = []Engine{DS, DSMP8, HashRF, BFHRF8, BFHRFOA, BFHRFMAP}
 
 // hugeTaxaEngines is the succinct-backend ablation pair on the huge-n

@@ -206,6 +206,7 @@ func TestQueryValidation(t *testing.T) {
 		{"malformed json", "", `{"collection": refs`, 400},
 		{"malformed newick", "", map[string]any{"collection": "refs", "trees": []string{"((a,b"}}, 400},
 		{"unknown variant", "", map[string]any{"collection": "refs", "variant": "rooted", "trees": q}, 400},
+		{"info variant", "", map[string]any{"collection": "refs", "variant": "info", "trees": q}, 400},
 	}
 	for _, c := range cases {
 		code, body, _ := postQuery(t, srv.URL, c.tenant, c.body)

@@ -49,7 +49,7 @@ type Config struct {
 	// Workers is the parallelism degree; 0 uses all CPUs.
 	Workers int
 	// Variant is one of VariantPlain (default), VariantNormalized,
-	// VariantWeighted.
+	// VariantWeighted, VariantInfo.
 	Variant string
 	// MinSplitSize / MaxSplitSize filter bipartitions by the size of the
 	// smaller side (0 = no bound) — the paper's demonstrated extensibility
@@ -60,11 +60,9 @@ type Config struct {
 	// the taxa common to every tree before comparison (intersection
 	// reduction). Without it, all trees must share an identical taxon set.
 	IntersectTaxa bool
-	// CompressKeys stores losslessly compressed bipartition keys in the
-	// frequency hash, trading a little CPU for memory (paper §IX).
-	CompressKeys bool
-	// Backend selects the hash storage: "auto" (default), "openaddr",
-	// "map" or "succinct". CompressKeys forces the map backend.
+	// Backend selects the hash storage: "auto" (default), "openaddr" or
+	// "succinct" — the losslessly compressed keys of paper §IX, trading a
+	// little CPU for memory.
 	Backend string
 	// HashShards is the hash's shard count (a power of two; 0 = default).
 	// More shards mean finer-grained copy-on-write in snapshot deltas.
@@ -128,18 +126,18 @@ func (c Config) ingest() collection.Options {
 	return opts
 }
 
-func (c Config) variant() (core.Variant, bool, error) {
+func (c Config) variant() (core.Variant, error) {
 	switch c.Variant {
 	case "", VariantPlain:
-		return core.Plain, false, nil
+		return core.Plain, nil
 	case VariantNormalized:
-		return core.Normalized, false, nil
+		return core.Normalized, nil
 	case VariantWeighted:
-		return core.Weighted, false, nil
+		return core.Weighted, nil
 	case VariantInfo:
-		return core.Plain, true, nil
+		return core.Info, nil
 	default:
-		return 0, false, fmt.Errorf("repro: unknown variant %q", c.Variant)
+		return 0, fmt.Errorf("repro: unknown variant %q", c.Variant)
 	}
 }
 
@@ -163,7 +161,6 @@ func (c Config) buildOptions(ts *taxa.Set) (core.BuildOptions, error) {
 		Workers:         c.Workers,
 		Filter:          c.filter(ts.Len()),
 		RequireComplete: true,
-		CompressKeys:    c.CompressKeys,
 		Backend:         b,
 		HashShards:      c.HashShards,
 	}, nil
@@ -282,23 +279,17 @@ func prepare(q, r collection.Source, cfg Config) (*core.FreqHash, collection.Sou
 }
 
 func query(h *core.FreqHash, q collection.Source, cfg Config) ([]Result, error) {
-	v, info, err := cfg.variant()
+	v, err := cfg.variant()
 	if err != nil {
 		return nil, err
 	}
-	opts := core.QueryOptions{
+	res, err := h.AverageRF(q, core.QueryOptions{
 		Workers:         cfg.Workers,
 		Filter:          cfg.filter(h.Taxa().Len()),
 		Variant:         v,
 		RequireComplete: true,
 		Cache:           cfg.queryCache(),
-	}
-	var res []core.Result
-	if info {
-		res, err = h.AverageInfoRF(q, opts)
-	} else {
-		res, err = h.AverageRF(q, opts)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}

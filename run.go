@@ -95,7 +95,7 @@ func (h *Hash) AverageRFFileResumable(queryPath string, run RunOptions) ([]Resul
 // resumableQuery is the checkpoint-wired query loop shared by the
 // file-pair entry point and the prebuilt-hash method.
 func resumableQuery(h *core.FreqHash, qsrc collection.Source, cfg Config, run RunOptions) ([]Result, error) {
-	v, info, err := cfg.variant()
+	v, err := cfg.variant()
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func resumableQuery(h *core.FreqHash, qsrc collection.Source, cfg Config, run Ru
 				ckMu.Unlock()
 			}
 		}
-		results, err := runQuery(h, qsrc, opts, info)
+		results, err := h.AverageRF(qsrc, opts)
 		canceled := errors.Is(err, core.ErrCanceled)
 		if err != nil && !canceled {
 			return nil, err
@@ -166,7 +166,7 @@ func resumableQuery(h *core.FreqHash, qsrc collection.Source, cfg Config, run Ru
 		return merged, nil
 	}
 
-	results, err := runQuery(h, qsrc, opts, info)
+	results, err := h.AverageRF(qsrc, opts)
 	if err != nil && !errors.Is(err, core.ErrCanceled) {
 		return nil, err
 	}
@@ -175,13 +175,6 @@ func resumableQuery(h *core.FreqHash, qsrc collection.Source, cfg Config, run Ru
 		return nil, mergeErr
 	}
 	return merged, err
-}
-
-func runQuery(h *core.FreqHash, q collection.Source, opts core.QueryOptions, info bool) ([]core.Result, error) {
-	if info {
-		return h.AverageInfoRF(q, opts)
-	}
-	return h.AverageRF(q, opts)
 }
 
 // mergeResults folds checkpoint-restored averages into freshly computed
