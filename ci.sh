@@ -5,7 +5,7 @@
 #                      tests + race (fast subset, incl. the distrib
 #                      failover/health tests) + fuzz smoke + admin smoke +
 #                      snapshot round-trip smoke
-#   CI_PERF=1 ./ci.sh  additionally gate the perf sweep against BENCH_0005.json
+#   CI_PERF=1 ./ci.sh  additionally gate the perf sweep against BENCH_0006.json
 #
 # The perf gate is opt-in because wall-clock measurements on a loaded CI
 # machine can exceed the noise threshold without any code change; run it
@@ -69,6 +69,7 @@ go test -run 'TestSnapshotCrashAndReload|TestDeltaMatchesScratchBuild' -count=1 
 echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/newick
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/nexus
+go test -run='^$' -fuzz=FuzzExtractNewick -fuzztime=10s ./internal/bipart
 go test -run='^$' -fuzz=FuzzTable -fuzztime=10s ./internal/bfhtable
 go test -run='^$' -fuzz=FuzzSuccinct -fuzztime=10s ./internal/bfhtable
 go test -run='^$' -fuzz=FuzzFingerprint -fuzztime=10s ./internal/core
@@ -174,8 +175,8 @@ serve_pid=""
 echo "serve smoke: shed $shed request(s) under the burst, healthy and byte-identical after"
 
 if [[ "${CI_PERF:-0}" == "1" ]]; then
-  echo "== perf gate (rfbench -compare BENCH_0005.json) =="
-  go run ./cmd/rfbench -compare BENCH_0005.json -threshold 0.10 -reps 5
+  echo "== perf gate (rfbench -compare BENCH_0006.json) =="
+  go run ./cmd/rfbench -compare BENCH_0006.json -threshold 0.10 -reps 5
 fi
 
 echo "ci.sh: all checks passed"

@@ -173,6 +173,7 @@ func runPerf(cfg experiments.Config, jsonOut, compare, with string, threshold fl
 		}
 		cur.Tool = "rfbench"
 		cur.GitCommit = perfjson.GitCommit(".")
+		cur.Host = perfjson.CurrentHost()
 		cur.Timestamp = time.Now().UTC().Format(time.RFC3339)
 	}
 

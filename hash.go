@@ -20,7 +20,7 @@ type Hash struct {
 
 // BuildHashFile streams the reference Newick file once and builds the hash.
 func BuildHashFile(refPath string, cfg Config) (*Hash, error) {
-	r, err := collection.OpenFile(refPath)
+	r, err := collection.OpenFileOpts(refPath, cfg.ingest())
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +30,7 @@ func BuildHashFile(refPath string, cfg Config) (*Hash, error) {
 
 // BuildHashNewick builds the hash from in-memory Newick strings.
 func BuildHashNewick(refs []string, cfg Config) (*Hash, error) {
-	r, err := parseAll(refs)
+	r, err := collection.FromNewick(refs)
 	if err != nil {
 		return nil, fmt.Errorf("repro: reference: %w", err)
 	}
@@ -82,7 +82,7 @@ func (h *Hash) Stats() Stats {
 // AverageRFFile computes average distances for every tree in the query
 // Newick file against the hash.
 func (h *Hash) AverageRFFile(queryPath string) ([]Result, error) {
-	q, err := collection.OpenFile(queryPath)
+	q, err := collection.OpenFileOpts(queryPath, h.cfg.ingest())
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (h *Hash) AverageRFFile(queryPath string) ([]Result, error) {
 
 // AverageRFNewick computes average distances for query Newick strings.
 func (h *Hash) AverageRFNewick(queries []string) ([]Result, error) {
-	q, err := parseAll(queries)
+	q, err := collection.FromNewick(queries)
 	if err != nil {
 		return nil, fmt.Errorf("repro: query: %w", err)
 	}

@@ -3,6 +3,7 @@ package repro
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,5 +116,73 @@ func TestHashAverageRFOneErrors(t *testing.T) {
 	}
 	if _, err := h.AverageRFOne("((A,B),(C,X));"); err == nil {
 		t.Error("foreign taxa should fail")
+	}
+}
+
+// TestFileEntryPointsHonorIngestConfig: every file entry point applies the
+// Config's hardening fields — lenient skipping with its diagnostics, and
+// the per-tree limits — as AverageRFFiles does.
+func TestFileEntryPointsHonorIngestConfig(t *testing.T) {
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "refs.nwk")
+	qPath := filepath.Join(dir, "q.nwk")
+	refs := "((A,B),((C,D),(E,F)));\n((A,B),((C,D),(E,,F)));\n((A,C),((B,D),(E,F)));\n"
+	if err := os.WriteFile(refPath, []byte(refs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(qPath, []byte(refs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var bad []BadTree
+	lenient := Config{SkipBadTrees: true, OnBadTree: func(b BadTree) { bad = append(bad, b) }}
+	limited := Config{MaxTaxa: 3}
+
+	entryPoints := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"BuildHashFile", func(cfg Config) error {
+			h, err := BuildHashFile(refPath, cfg)
+			if err == nil && h.Stats().NumTrees != 2 {
+				t.Errorf("BuildHashFile kept %d trees, want the 2 good ones", h.Stats().NumTrees)
+			}
+			return err
+		}},
+		{"Hash.AverageRFFile", func(cfg Config) error {
+			h, err := BuildHashNewick([]string{"((A,B),((C,D),(E,F)));"}, cfg)
+			if err != nil {
+				return err
+			}
+			res, err := h.AverageRFFile(qPath)
+			if err == nil && len(res) != 2 {
+				t.Errorf("Hash.AverageRFFile answered %d queries, want the 2 good ones", len(res))
+			}
+			return err
+		}},
+		{"ConsensusFile", func(cfg Config) error {
+			_, err := ConsensusFile(refPath, 0.5, cfg)
+			return err
+		}},
+		{"GreedyConsensusFile", func(cfg Config) error {
+			_, err := GreedyConsensusFile(refPath, 0.5, cfg)
+			return err
+		}},
+	}
+	for _, ep := range entryPoints {
+		if err := ep.run(Config{}); err == nil {
+			t.Errorf("%s: strict ingest accepted a malformed tree", ep.name)
+		}
+		bad = nil
+		if err := ep.run(lenient); err != nil {
+			t.Errorf("%s with SkipBadTrees: %v", ep.name, err)
+		}
+		// Each pass over the file (taxon scan, build, query) reports the
+		// skipped tree again.
+		if len(bad) == 0 || slices.ContainsFunc(bad, func(b BadTree) bool { return b.Tree != 2 }) {
+			t.Errorf("%s with SkipBadTrees: diagnostics %+v, want tree 2 only", ep.name, bad)
+		}
+		if err := ep.run(limited); err == nil {
+			t.Errorf("%s with MaxTaxa 3 accepted a 6-taxon tree", ep.name)
+		}
 	}
 }

@@ -1,7 +1,16 @@
 package repro
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/collection"
+	"repro/internal/newick"
+	"repro/internal/simphy"
+	"repro/internal/taxa"
+	"repro/internal/tree"
 )
 
 func sixTaxonRefs() []string {
@@ -194,5 +203,77 @@ func TestGreedyConsensusPublicFunctions(t *testing.T) {
 	}
 	if d, err := PairwiseRF(out, "((A,B),((C,D),(E,F)));"); err != nil || d != 0 {
 		t.Errorf("greedy consensus = %q (d=%d, err=%v)", out, d, err)
+	}
+}
+
+// randomNewicks returns r random binary trees over n taxa, with random
+// branch lengths, as Newick strings.
+func randomNewicks(seed int64, n, r int) []string {
+	ts := taxa.Generate(n)
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]string, r)
+	for i := range out {
+		tr := simphy.RandomBinary(ts, rng)
+		tr.Postorder(func(nd *tree.Node) { nd.Length = rng.Float64() + 0.01 })
+		out[i] = newick.String(tr, newick.WriteOptions{BranchLengths: true})
+	}
+	return out
+}
+
+// TestNewickEntryPointsMatchTreePath: the Newick-string entry points go
+// from statements straight to splits; their answers must equal the same
+// strings parsed into trees and run through the tree path, bit for bit,
+// in every variant, with a split-size filter, on a two-word catalogue.
+func TestNewickEntryPointsMatchTreePath(t *testing.T) {
+	refs := randomNewicks(41, 70, 30)
+	queries := append(randomNewicks(42, 70, 10), refs[:5]...)
+	parse := func(newicks []string) collection.Source {
+		trees := make([]*tree.Tree, len(newicks))
+		for i, s := range newicks {
+			trees[i] = newick.MustParse(s)
+		}
+		return collection.FromTrees(trees)
+	}
+	same := func(what string, got, want []Result) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Index != want[i].Index || math.Float64bits(got[i].AvgRF) != math.Float64bits(want[i].AvgRF) {
+				t.Fatalf("%s: query %d = %+v, tree path %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, v := range []string{VariantPlain, VariantNormalized, VariantWeighted, VariantInfo} {
+		for _, minSplit := range []int{0, 3} {
+			// One worker, so both builds sum branch lengths in one order.
+			cfg := Config{Variant: v, MinSplitSize: minSplit, Workers: 1}
+			what := fmt.Sprintf("%s min=%d", v, minSplit)
+
+			h, err := BuildHashNewick(refs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := h.AverageRFNewick(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := query(h.h, parse(queries), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("Hash.AverageRFNewick "+what, got, want)
+
+			got, err = AverageRFNewick(queries, refs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err = averageRF(parse(queries), parse(refs), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("AverageRFNewick "+what, got, want)
+		}
 	}
 }

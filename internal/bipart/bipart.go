@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
+	"repro/internal/newick"
 	"repro/internal/taxa"
 	"repro/internal/tree"
 )
@@ -210,6 +211,11 @@ type Extractor struct {
 	emitted []*bitset.Bits
 	// outBuf is the reused result slice under ReuseMasks.
 	outBuf []Bipartition
+	// scan, open and splits are ExtractNewick's scratch: the statement
+	// scanner, the masks of the open subtrees, and the completed splits.
+	scan   newick.Scanner
+	open   []*bitset.Bits
+	splits []rawSplit
 }
 
 // getMask returns a zeroed width-n mask from the pool.
@@ -226,6 +232,16 @@ func (e *Extractor) getMask(n int) *bitset.Bits {
 }
 
 func (e *Extractor) putMask(m *bitset.Bits) { e.pool = append(e.pool, m) }
+
+// resetSeen returns the per-call duplicate-leaf scratch, all false.
+func (e *Extractor) resetSeen(n int) []bool {
+	if cap(e.seen) < n {
+		e.seen = make([]bool, n)
+	}
+	seen := e.seen[:n]
+	clear(seen)
+	return seen
+}
 
 // NewExtractor returns an extractor over ts requiring complete taxon
 // coverage (the paper's fixed-n setting).
@@ -252,13 +268,7 @@ func (e *Extractor) Extract(t *tree.Tree) ([]Bipartition, error) {
 	present := 0
 	anchor := -1
 	var leafErr error
-	if cap(e.seen) < n {
-		e.seen = make([]bool, n)
-	}
-	seen := e.seen[:n]
-	for i := range seen {
-		seen[i] = false
-	}
+	seen := e.resetSeen(n)
 	t.Postorder(func(nd *tree.Node) {
 		if leafErr != nil || !nd.IsLeaf() {
 			return
@@ -350,6 +360,9 @@ func (e *Extractor) Extract(t *tree.Tree) ([]Bipartition, error) {
 			stack[len(stack)-1].mask.Or(m)
 		}
 		e.putMask(m)
+	}
+	if e.ReuseMasks {
+		e.outBuf = out
 	}
 	return out, nil
 }

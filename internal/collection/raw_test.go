@@ -1,6 +1,8 @@
 package collection
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/newick"
+	"repro/internal/taxa"
 )
 
 func openTempNewick(t *testing.T, content string) *File {
@@ -196,5 +199,128 @@ func TestHeadNextRaw(t *testing.T) {
 	h2 := &Head{Src: FromTrees(mustParseAll(t, "(A,B,C);")), N: 1}
 	if _, err := h2.NextRaw(); err != ErrRawUnsupported {
 		t.Errorf("Head over Slice NextRaw = %v, want ErrRawUnsupported", err)
+	}
+}
+
+// rawTestTrees is a few hundred statements over shifting taxon sets, so a
+// raw scan spreads them over several workers.
+func rawTestTrees() []string {
+	var out []string
+	for i := 0; i < 300; i++ {
+		out = append(out, fmt.Sprintf("((A,B),(C,'t %d'),(x_%d,D));", i%7, i%5))
+	}
+	return out
+}
+
+// TestRawScanMatchesTreeScan: the names-only scans of raw statements (a
+// file, and in-memory Newick text) find the catalogues the tree path
+// finds, and leave the sources reset.
+func TestRawScanMatchesTreeScan(t *testing.T) {
+	stmts := rawTestTrees()
+	file := openTempNewick(t, strings.Join(stmts, "\n")+"\n")
+	text, err := FromNewick(stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := FromTrees(mustParseAll(t, stmts...))
+	for _, scan := range []func(...Source) (*taxa.Set, error){ScanTaxa, ScanCommonTaxa} {
+		want, err := scan(trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []Source{file, text} {
+			got, err := scan(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("raw scan found %v, tree scan %v", got, want)
+			}
+			if n := drain(t, src); n != len(stmts) {
+				t.Errorf("source yields %d trees after the scan, want %d", n, len(stmts))
+			}
+		}
+	}
+}
+
+// TestRawScanReportsFirstBadTree: with several malformed statements, the
+// parallel raw scan reports the earliest, as a serial scan would.
+func TestRawScanReportsFirstBadTree(t *testing.T) {
+	stmts := rawTestTrees()
+	stmts[150] = "((A,B),(C,D);"
+	stmts[220] = "((A,B),(C,:D));"
+	text, err := FromNewick(stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		_, err := ScanTaxa(text)
+		var pe *newick.ParseError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "tree 151:") {
+			t.Fatalf("scan error = %v, want a ParseError on tree 151", err)
+		}
+	}
+}
+
+// TestFromNewickSplitsLikeAJoinedStream: strings are joined by newlines
+// and split at top-level semicolons, so a string may hold several
+// statements; trailing text without a ';' is an error.
+func TestFromNewickSplitsLikeAJoinedStream(t *testing.T) {
+	text, err := FromNewick([]string{"(A,B,(C,D));(A,C,(B,D));", "[comment]", "(A,'x;y',(B,D));"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text.Count() != 3 {
+		t.Fatalf("Count = %d, want 3", text.Count())
+	}
+	if n := drain(t, text); n != 3 {
+		t.Fatalf("drained %d trees, want 3", n)
+	}
+	for _, bad := range [][]string{{"(A,B,(C,D))"}, {"(A,B,(C,D));", "(A,"}, {"(A,B,(C,D));[open"}} {
+		if _, err := FromNewick(bad); err == nil {
+			t.Errorf("FromNewick(%q) accepted an unterminated statement", bad)
+		}
+	}
+}
+
+// TestNextRawLongStatements: statements far longer than the reader's
+// buffer, with quoted and commented semicolons scattered across chunk
+// boundaries, split exactly at their top-level semicolons.
+func TestNextRawLongStatements(t *testing.T) {
+	var want []string
+	for s := 0; s < 5; s++ {
+		var b strings.Builder
+		b.WriteString("(")
+		for i := 0; i < 1500+s*7; i++ {
+			if i > 0 {
+				b.WriteString(",")
+			}
+			switch i % 5 {
+			case 1:
+				fmt.Fprintf(&b, "'l;%d''s'", i)
+			case 3:
+				fmt.Fprintf(&b, "l%d[c;[n;]]", i)
+			default:
+				fmt.Fprintf(&b, "l%d", i)
+			}
+		}
+		b.WriteString(");")
+		want = append(want, b.String())
+	}
+	src := openTempNewick(t, strings.Join(want, "\n"))
+	for i := 0; ; i++ {
+		stmt, err := src.NextRaw()
+		if err == io.EOF {
+			if i != len(want) {
+				t.Fatalf("%d statements, want %d", i, len(want))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.TrimSpace(stmt) != want[i] {
+			t.Fatalf("statement %d split wrongly (%d bytes, want %d)", i, len(stmt), len(want[i]))
+		}
 	}
 }

@@ -3,7 +3,10 @@ package collection
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 
+	"repro/internal/newick"
 	"repro/internal/taxa"
 	"repro/internal/tree"
 )
@@ -12,33 +15,21 @@ import (
 // names as a lexicographically ordered catalogue. Sources are reset before
 // and after scanning.
 func ScanTaxa(sources ...Source) (*taxa.Set, error) {
-	seen := make(map[string]bool)
-	var names []string
+	all := make(unionSink)
 	for _, src := range sources {
-		if err := src.Reset(); err != nil {
+		sinks, err := scanLeaves(src, func() leafSink { return make(unionSink) })
+		if err != nil {
 			return nil, err
 		}
-		for {
-			t, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			for _, name := range t.LeafNames() {
-				if name == "" {
-					return nil, fmt.Errorf("collection: tree with unnamed leaf")
-				}
-				if !seen[name] {
-					seen[name] = true
-					names = append(names, name)
-				}
+		for _, sink := range sinks {
+			for name := range sink.(unionSink) {
+				all[name] = true
 			}
 		}
-		if err := src.Reset(); err != nil {
-			return nil, err
-		}
+	}
+	names := make([]string, 0, len(all))
+	for name := range all {
+		names = append(names, name)
 	}
 	return taxa.NewSet(names)
 }
@@ -49,37 +40,24 @@ func ScanTaxa(sources ...Source) (*taxa.Set, error) {
 func ScanCommonTaxa(sources ...Source) (*taxa.Set, error) {
 	var common map[string]bool
 	for _, src := range sources {
-		if err := src.Reset(); err != nil {
+		sinks, err := scanLeaves(src, func() leafSink { return &commonSink{here: make(map[string]bool)} })
+		if err != nil {
 			return nil, err
 		}
-		for {
-			t, err := src.Next()
-			if err == io.EOF {
-				break
+		for _, sink := range sinks {
+			c := sink.(*commonSink).common
+			if c == nil {
+				continue // the sink saw no tree
 			}
-			if err != nil {
-				return nil, err
-			}
-			names := t.LeafNames()
 			if common == nil {
-				common = make(map[string]bool, len(names))
-				for _, n := range names {
-					common[n] = true
-				}
+				common = c
 				continue
 			}
-			here := make(map[string]bool, len(names))
-			for _, n := range names {
-				here[n] = true
-			}
 			for n := range common {
-				if !here[n] {
+				if !c[n] {
 					delete(common, n)
 				}
 			}
-		}
-		if err := src.Reset(); err != nil {
-			return nil, err
 		}
 	}
 	names := make([]string, 0, len(common))
@@ -87,6 +65,187 @@ func ScanCommonTaxa(sources ...Source) (*taxa.Set, error) {
 		names = append(names, n)
 	}
 	return taxa.NewSet(names)
+}
+
+// leafSink accumulates the leaf names of a stream of trees: leaf sees
+// each name in tree order (the bytes are valid only during the call),
+// endTree closes each tree.
+type leafSink interface {
+	leaf(name []byte) error
+	endTree()
+}
+
+// unionSink collects every leaf name.
+type unionSink map[string]bool
+
+func (u unionSink) leaf(name []byte) error {
+	if len(name) == 0 {
+		return fmt.Errorf("collection: tree with unnamed leaf")
+	}
+	// The lookup does not allocate; only a first sighting copies the name.
+	if !u[string(name)] {
+		u[string(name)] = true
+	}
+	return nil
+}
+
+func (u unionSink) endTree() {}
+
+// commonSink intersects the leaf-name sets of the trees it sees; common
+// stays nil until the first tree ends.
+type commonSink struct {
+	common, here map[string]bool
+}
+
+func (c *commonSink) leaf(name []byte) error {
+	c.here[string(name)] = true
+	return nil
+}
+
+func (c *commonSink) endTree() {
+	if c.common == nil {
+		c.common, c.here = c.here, make(map[string]bool, len(c.here))
+		return
+	}
+	for n := range c.common {
+		if !c.here[n] {
+			delete(c.common, n)
+		}
+	}
+	clear(c.here)
+}
+
+// scanLeaves streams src once into sinks made by newSink and returns
+// them. A source that hands out raw statements is scanned without
+// building trees, by parallel workers with a sink each: a newick.Scanner
+// over each statement, which validates the full syntax just as parsing
+// would. Any other source is read tree by tree into one sink. src is
+// reset before and after.
+func scanLeaves(src Source, newSink func() leafSink) ([]leafSink, error) {
+	if err := src.Reset(); err != nil {
+		return nil, err
+	}
+	sinks, err := scanRawLeaves(src, newSink)
+	if err == ErrRawUnsupported {
+		if err = src.Reset(); err == nil {
+			sinks = []leafSink{newSink()}
+			err = scanTreeLeaves(src, sinks[0])
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sinks, src.Reset()
+}
+
+// scanRawLeaves is scanLeaves over raw statements. It returns
+// ErrRawUnsupported, having started no worker, when src cannot split its
+// input into statements. Of several bad trees it reports the first, as a
+// serial scan would.
+func scanRawLeaves(src Source, newSink func() leafSink) ([]leafSink, error) {
+	rs, ok := src.(RawSource)
+	if !ok {
+		return nil, ErrRawUnsupported
+	}
+	stmt, err := rs.NextRaw()
+	if err == ErrRawUnsupported {
+		return nil, err
+	}
+	count := -1
+	if c, ok := src.(Counter); ok {
+		count = c.Count()
+	}
+	type job struct {
+		idx  int
+		stmt string
+	}
+	type treeErr struct {
+		idx int
+		err error
+	}
+	workers := EffectiveWorkers(runtime.GOMAXPROCS(0), count)
+	jobs := make(chan job, workers*4) // a few statements of slack per worker
+	sinks := make([]leafSink, workers)
+	errs := make([]treeErr, workers)
+	var wg sync.WaitGroup
+	for w := range sinks {
+		sinks[w] = newSink()
+		wg.Add(1)
+		go func(sink leafSink, te *treeErr) {
+			defer wg.Done()
+			var sc newick.Scanner
+			for j := range jobs {
+				// Jobs reach a worker in stream order, so its first error
+				// is its earliest.
+				if te.err == nil {
+					if err := scanStatement(&sc, j.stmt, sink); err != nil {
+						*te = treeErr{j.idx, fmt.Errorf("collection: tree %d: %w", j.idx+1, err)}
+					}
+				}
+			}
+		}(sinks[w], &errs[w])
+	}
+	var feedErr error
+	for i := 0; err != io.EOF; i++ {
+		if err != nil {
+			feedErr = err
+			break
+		}
+		jobs <- job{i, stmt}
+		stmt, err = rs.NextRaw()
+	}
+	close(jobs)
+	wg.Wait()
+	// A bad tree lies before the point where reading failed.
+	var first *treeErr
+	for i := range errs {
+		if errs[i].err != nil && (first == nil || errs[i].idx < first.idx) {
+			first = &errs[i]
+		}
+	}
+	if first != nil {
+		return sinks, first.err
+	}
+	return sinks, feedErr
+}
+
+// scanStatement feeds one raw statement's leaves to sink.
+func scanStatement(sc *newick.Scanner, stmt string, sink leafSink) error {
+	sc.Reset(stmt)
+	for {
+		ev, err := sc.Next()
+		if err != nil {
+			return err
+		}
+		switch ev {
+		case newick.Leaf:
+			if err := sink.leaf(sc.Label()); err != nil {
+				return err
+			}
+		case newick.End:
+			sink.endTree()
+			return nil
+		}
+	}
+}
+
+// scanTreeLeaves is scanLeaves over parsed trees.
+func scanTreeLeaves(src Source, sink leafSink) error {
+	for {
+		t, err := src.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		for _, name := range t.LeafNames() {
+			if err := sink.leaf([]byte(name)); err != nil {
+				return err
+			}
+		}
+		sink.endTree()
+	}
 }
 
 // Map wraps src, applying f to every tree as it streams. Reset passes

@@ -7,17 +7,17 @@ import (
 
 	"repro/internal/bipart"
 	"repro/internal/collection"
-	"repro/internal/newick"
 	"repro/internal/taxa"
 )
 
 // This file implements the parallel-parse fast path: when the reference or
 // query source can hand out raw Newick statements (collection.RawSource),
-// workers parse *and* extract, so tree construction — the dominant cost of
-// file-backed runs — scales with the worker count. This is the full
-// "parallelized the reading of trees, generating bipartitions, and then
-// computing RF comparisons at the tree level" decomposition the paper
-// describes for DSMP and BFHRF (§V).
+// workers go from each statement straight to its canonical splits
+// (bipart.Extractor.ExtractNewick) with no tree in between, so reading
+// trees — the dominant cost of file-backed runs — scales with the worker
+// count. This is the full "parallelized the reading of trees, generating
+// bipartitions, and then computing RF comparisons at the tree level"
+// decomposition the paper describes for DSMP and BFHRF (§V).
 
 // rawCapable reports whether src supports the raw path right now
 // (RawSource implemented and the format splittable).
@@ -64,14 +64,7 @@ func buildRaw(rs collection.RawSource, ts *taxa.Set, opts BuildOptions, h *FreqH
 			}
 			acc := newBuildAccum(backend, ts, shards)
 			for stmt := range jobs {
-				t, err := newick.Parse(stmt)
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = err
-					}
-					continue
-				}
-				bs, err := ex.Extract(t)
+				bs, err := ex.ExtractNewick(stmt)
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = err
@@ -136,14 +129,11 @@ func (h *FreqHash) averageRFRaw(rs collection.RawSource, opts QueryOptions) ([]R
 			}
 			p := h.proberFor(opts)
 			for j := range jobs {
-				t, err := newick.Parse(j.stmt)
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = fmt.Errorf("core: query tree %d: %w", j.idx, err)
-					}
-					continue
+				var avg float64
+				bs, err := ex.ExtractNewick(j.stmt)
+				if err == nil {
+					avg, err = p.AverageRFOfSplits(bs, opts.Variant)
 				}
-				avg, err := h.queryOne(t, ex, p, opts.Variant)
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = fmt.Errorf("core: query tree %d: %w", j.idx, err)

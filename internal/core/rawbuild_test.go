@@ -1,11 +1,17 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bipart"
 	"repro/internal/collection"
+	"repro/internal/faultinject"
 	"repro/internal/newick"
 	"repro/internal/tree"
 )
@@ -106,5 +112,100 @@ func TestRawPathQueryErrorsPropagate(t *testing.T) {
 	defer src.Close()
 	if _, err := h.AverageRF(src, QueryOptions{RequireComplete: true}); err == nil {
 		t.Error("wrong-taxa query in the raw path should fail")
+	}
+}
+
+// TestFusedPathEquivalenceWall: a hash built and queried from a file —
+// statements go straight to splits through bipart.Extractor.ExtractNewick —
+// answers bit for bit like one built and queried from the same trees
+// parsed into memory, for every variant, on both backends, with the query
+// cache on and off, with and without a size filter, and on catalogues of
+// one, two and three mask words. Builds use one worker so that the
+// weighted length sums accumulate in the same order on both paths.
+func TestFusedPathEquivalenceWall(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{12, 100, 130} {
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			trees, ts := randomCollection(int64(n)+5, n, 40)
+			for _, tr := range trees {
+				tr.Postorder(func(nd *tree.Node) {
+					if nd.Parent != nil {
+						nd.Length = rng.Float64()*2 + 0.01
+					}
+				})
+			}
+			refFile := writeCollection(t, trees)
+			qFile := writeCollection(t, equivQueries(trees, ts, rng))
+			// The in-memory side reads the very same text through the
+			// tree parser, so both sides see identical lengths.
+			refTrees, err := collection.ReadAll(refFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qTrees, err := collection.ReadAll(qFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, backend := range []Backend{BackendOpenAddressing, BackendSuccinct} {
+				for _, filter := range []bipart.Filter{nil, bipart.SizeFilter(3, n/3, n)} {
+					bo := BuildOptions{RequireComplete: true, Backend: backend, Filter: filter, Workers: 1}
+					hFile, err := Build(refFile, ts, bo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hMem, err := Build(collection.FromTrees(refTrees), ts, bo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hFile.Fingerprint() != hMem.Fingerprint() || hFile.TotalBipartitions() != hMem.TotalBipartitions() {
+						t.Fatalf("backend %v filter %v: file and memory builds differ", backend, filter != nil)
+					}
+					for _, v := range []Variant{Plain, Normalized, Weighted, Info} {
+						for _, cached := range []bool{false, true} {
+							opts := QueryOptions{RequireComplete: true, Variant: v, Filter: filter, Workers: 2}
+							if cached {
+								opts.Cache = NewQueryCache(0, 0)
+							}
+							got, err := hFile.AverageRF(qFile, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if cached {
+								opts.Cache = NewQueryCache(0, 0)
+							}
+							want, err := hMem.AverageRF(collection.FromTrees(qTrees), opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if len(got) != len(want) {
+								t.Fatalf("%d results, want %d", len(got), len(want))
+							}
+							for i := range want {
+								if math.Float64bits(got[i].AvgRF) != math.Float64bits(want[i].AvgRF) {
+									t.Fatalf("backend %v filter %v %v cached=%v query %d: file %v, memory %v",
+										backend, filter != nil, v, cached, i, got[i].AvgRF, want[i].AvgRF)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRawBuildParseFault: a parse fault injected on the second statement
+// of a file-backed build reaches the caller as a *newick.ParseError — the
+// fused path fires the parse-tree point once per statement, as the tree
+// parser does, so chaos schedules keep reaching it.
+func TestRawBuildParseFault(t *testing.T) {
+	trees, ts := randomCollection(31, 10, 5)
+	src := writeCollection(t, trees)
+	faultinject.Arm(faultinject.Plan{Point: faultinject.PointParseTree, Kind: faultinject.KindError, Hit: 2})
+	defer faultinject.Disarm()
+	_, err := Build(src, ts, BuildOptions{RequireComplete: true, Workers: 1})
+	var pe *newick.ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Build with an injected parse fault: err = %v, want a *newick.ParseError", err)
 	}
 }

@@ -310,11 +310,7 @@ func (w *Worker) queryShard(span *obs.Span, args QueryArgs, reply *QueryReply) e
 	reply.Splits = make([]int64, len(args.Newicks))
 	lookups, misses := 0, 0
 	for i, nwk := range args.Newicks {
-		t, err := newick.Parse(nwk)
-		if err != nil {
-			return fmt.Errorf("distrib: query %d: %w", i, err)
-		}
-		bs, err := ex.Extract(t)
+		bs, err := ex.ExtractNewick(nwk)
 		if err != nil {
 			return fmt.Errorf("distrib: query %d: %w", i, err)
 		}

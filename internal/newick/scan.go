@@ -1,0 +1,420 @@
+package newick
+
+import (
+	"bytes"
+	"fmt"
+	"strconv"
+	"strings"
+
+	"repro/internal/faultinject"
+)
+
+// Event is one step of a Scanner's walk over a Newick statement. A
+// subtree arrives as its Open, its children's events, then its Close, so
+// Leaf and Close events complete nodes in postorder.
+type Event uint8
+
+const (
+	// Open is a '(' starting an internal node.
+	Open Event = iota + 1
+	// Leaf is a named leaf; Label holds its name and Length its optional
+	// branch length.
+	Leaf
+	// Close is the ')' ending an internal node, after its optional label
+	// and branch length were read.
+	Close
+	// End is the ';' ending the statement. Nothing but whitespace and
+	// comments follows it.
+	End
+)
+
+// Scanner walks one Newick statement as a stream of events without
+// building a tree: no node structs, no label strings, and no allocation
+// once its scratch buffers have grown. It accepts exactly the inputs
+// Parse accepts and rejects the rest with the same *ParseError (offset
+// and line within the statement, same message); only a blank statement,
+// which Parse reports as io.EOF, is a ParseError here. It shares the
+// lexer's grammar: structural bytes, '_' decoded as a space in bare
+// labels, doubled-quote escapes in quoted labels, nested [...] comments,
+// and branch lengths read as strconv.ParseFloat reads them after
+// strings.TrimSpace. Like Reader.Read, it fires the parse-tree fault
+// point once per statement.
+//
+// A Scanner is reused across statements via Reset and is not safe for
+// concurrent use.
+type Scanner struct {
+	src   string
+	pos   int
+	depth int
+	state scanState
+	// pend is the lookahead token, already lexed, that the next state
+	// consumes (the lexer's peek).
+	pend    span
+	hasPend bool
+	// extra is set while a second tree after the statement's ';' is
+	// being validated; its events are swallowed.
+	extra bool
+	err   error // the statement's error, once one occurred
+
+	label     []byte // decoded label of the current Leaf or Close
+	num       []byte // scratch for decoding a branch length
+	length    float64
+	hasLength bool
+}
+
+// span is a token located in the statement: for a label, src[pos:end]
+// is its undecoded source text (quotes included).
+type span struct {
+	kind     tokenKind
+	pos, end int
+}
+
+type scanState uint8
+
+const (
+	stStart scanState = iota
+	stNode            // a node starts at the next token
+	stAfter           // a node just ended
+	stDone
+)
+
+// Reset points the scanner at a new statement.
+func (s *Scanner) Reset(stmt string) {
+	*s = Scanner{src: stmt, label: s.label[:0], num: s.num[:0]}
+}
+
+// Label returns the decoded name of the current Leaf, or the internal
+// label of the current Close (empty when it has none). The bytes are
+// valid until the next call to Next.
+func (s *Scanner) Label() []byte { return s.label }
+
+// Length returns the current node's branch length and whether it has one.
+func (s *Scanner) Length() (float64, bool) { return s.length, s.hasLength }
+
+// Next returns the next event. After End or an error the statement is
+// finished, and Next keeps returning that same outcome.
+func (s *Scanner) Next() (Event, error) {
+	for s.err == nil && s.state != stDone {
+		ev, err := s.step()
+		if err != nil {
+			s.err = err
+			break
+		}
+		if ev != 0 && !s.extra {
+			return ev, nil
+		}
+	}
+	if s.err != nil {
+		return 0, s.err
+	}
+	return End, nil
+}
+
+// step advances the state machine by at most one event; a zero event
+// means "keep going".
+func (s *Scanner) step() (Event, error) {
+	switch s.state {
+	case stStart:
+		tok, err := s.lex()
+		if err != nil {
+			return 0, err
+		}
+		if tok.kind != tokEOF {
+			if err := faultinject.Hit(faultinject.PointParseTree); err != nil {
+				// Injected parse faults impersonate malformed trees, as in
+				// Reader.Read.
+				return 0, s.errorAt(tok.pos, err.Error())
+			}
+		}
+		s.pend, s.hasPend = tok, true
+		s.state = stNode
+		return 0, nil
+
+	case stNode:
+		tok, err := s.next()
+		if err != nil {
+			return 0, err
+		}
+		switch tok.kind {
+		case tokOpen:
+			s.depth++
+			return Open, nil
+		case tokLabel:
+			s.label = s.decode(tok, s.label)
+			after, err := s.nodeLength()
+			if err != nil {
+				return 0, err
+			}
+			if len(s.label) == 0 {
+				return 0, s.errorAt(after.pos, "leaf without a name")
+			}
+			s.state = stAfter
+			return Leaf, nil
+		}
+		return 0, s.errorAt(tok.pos, fmt.Sprintf("expected '(' or label, found %s", tok.kind))
+
+	case stAfter:
+		tok, err := s.next()
+		if err != nil {
+			return 0, err
+		}
+		if s.depth == 0 {
+			if tok.kind != tokSemi {
+				return 0, s.errorAt(tok.pos, fmt.Sprintf("expected ';' after tree, found %s", tok.kind))
+			}
+			return s.end()
+		}
+		switch tok.kind {
+		case tokComma:
+			s.state = stNode
+			return 0, nil
+		case tokClose:
+			s.depth--
+			la, err := s.peek()
+			if err != nil {
+				return 0, err
+			}
+			s.label = s.label[:0]
+			if la.kind == tokLabel {
+				s.hasPend = false
+				s.label = s.decode(la, s.label)
+			}
+			if _, err := s.nodeLength(); err != nil {
+				return 0, err
+			}
+			return Close, nil
+		}
+		return 0, s.errorAt(tok.pos, fmt.Sprintf("expected ',' or ')' in subtree, found %s", tok.kind))
+	}
+	return 0, nil
+}
+
+// end handles a ';' at depth 0. Only whitespace and comments may follow;
+// a second tree is parsed (silently) so a malformed one reports its own
+// error, exactly as Parse's second Read does.
+func (s *Scanner) end() (Event, error) {
+	if s.extra {
+		return 0, &ParseError{Pos: 0, Msg: "unexpected extra tree after ';'"}
+	}
+	tok, err := s.lex()
+	if err != nil {
+		return 0, err
+	}
+	if tok.kind == tokEOF {
+		s.state = stDone
+		return End, nil
+	}
+	s.extra = true
+	s.pend, s.hasPend = tok, true
+	s.state = stNode
+	return 0, nil
+}
+
+// nodeLength consumes a node's optional ":length". It returns the token
+// that followed the node's label: the ':' when a length was read, else
+// the lookahead, left pending for the next state.
+func (s *Scanner) nodeLength() (span, error) {
+	s.length, s.hasLength = 0, false
+	tok, err := s.peek()
+	if err != nil || tok.kind != tokColon {
+		return tok, err
+	}
+	s.hasPend = false
+	lt, err := s.lex()
+	if err != nil {
+		return tok, err
+	}
+	if lt.kind != tokLabel {
+		return tok, s.errorAt(lt.pos, fmt.Sprintf("expected branch length after ':', found %s", lt.kind))
+	}
+	// Lengths are nearly always verbatim, parsed straight from the
+	// statement; a quoted or underscored one is decoded first.
+	text := s.src[lt.pos:lt.end]
+	if text[0] == '\'' || strings.IndexByte(text, '_') >= 0 {
+		s.num = s.decode(lt, s.num)
+		text = string(s.num)
+	}
+	v, err := parseLength(text)
+	if err != nil {
+		return tok, s.errorAt(lt.pos, fmt.Sprintf("invalid branch length %q", text))
+	}
+	s.length, s.hasLength = v, true
+	return tok, nil
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// parseLength is strconv.ParseFloat(strings.TrimSpace(text), 64) with a
+// fast path for the plain decimals branch lengths nearly always are
+// ("0.0320576", "-1.5"): with at most 15 digits and no exponent, the value
+// is an exact integer divided by an exact power of ten, and IEEE division
+// rounds that quotient correctly — the very bits ParseFloat returns (it
+// takes the same exact path). Anything else goes to ParseFloat.
+func parseLength(text string) (float64, error) {
+	i, neg := 0, false
+	if text != "" && (text[0] == '-' || text[0] == '+') {
+		neg, i = text[0] == '-', 1
+	}
+	var mant uint64
+	digits, frac, dot := 0, 0, false
+	for ; i < len(text); i++ {
+		c := text[i]
+		if c == '.' && !dot {
+			dot = true
+			continue
+		}
+		if c < '0' || c > '9' || digits == len(pow10)-1 {
+			return strconv.ParseFloat(strings.TrimSpace(text), 64)
+		}
+		mant = mant*10 + uint64(c-'0')
+		digits++
+		if dot {
+			frac++
+		}
+	}
+	if digits == 0 {
+		return strconv.ParseFloat(strings.TrimSpace(text), 64)
+	}
+	f := float64(mant) / pow10[frac]
+	if neg {
+		f = -f
+	}
+	return f, nil
+}
+
+// peek returns the lookahead token, lexing it if none is pending.
+func (s *Scanner) peek() (span, error) {
+	if !s.hasPend {
+		tok, err := s.lex()
+		if err != nil {
+			return span{}, err
+		}
+		s.pend, s.hasPend = tok, true
+	}
+	return s.pend, nil
+}
+
+// next consumes the lookahead token, lexing one if none is pending.
+func (s *Scanner) next() (span, error) {
+	tok, err := s.peek()
+	s.hasPend = false
+	return tok, err
+}
+
+// errorAt builds a ParseError at offset pos, stamped with the line the
+// lexer has reached (the streaming lexer's convention).
+func (s *Scanner) errorAt(pos int, msg string) *ParseError {
+	return &ParseError{Pos: pos, Line: 1 + strings.Count(s.src[:s.pos], "\n"), Msg: msg}
+}
+
+// lex reads the next token. It is the string-indexed twin of lexer.lex;
+// a label's text is decoded only when a caller asks (decode).
+func (s *Scanner) lex() (span, error) {
+	src := s.src
+	for s.pos < len(src) {
+		b := src[s.pos]
+		switch b {
+		case ' ', '\t', '\n', '\r':
+			s.pos++
+			continue
+		case '[':
+			s.pos++
+			start, depth := s.pos, 1
+			for depth > 0 {
+				if s.pos >= len(src) {
+					return span{}, s.errorAt(start, "unterminated comment")
+				}
+				switch src[s.pos] {
+				case '[':
+					depth++
+				case ']':
+					depth--
+				}
+				s.pos++
+			}
+			continue
+		case '(', ')', ',', ':', ';':
+			s.pos++
+			return span{kind: punctKind[b], pos: s.pos - 1}, nil
+		case '\'':
+			return s.lexQuoted()
+		}
+		return s.lexBare()
+	}
+	return span{kind: tokEOF, pos: s.pos}, nil
+}
+
+// punctKind maps each one-byte punctuation token to its kind.
+var punctKind = [256]tokenKind{'(': tokOpen, ')': tokClose, ',': tokComma, ':': tokColon, ';': tokSemi}
+
+// lexQuoted finds the end of a single-quoted label starting at the
+// opening quote; a doubled quote inside is an escaped quote.
+func (s *Scanner) lexQuoted() (span, error) {
+	start, i := s.pos, s.pos+1
+	for {
+		j := strings.IndexByte(s.src[i:], '\'')
+		if j < 0 {
+			s.pos = len(s.src)
+			return span{}, s.errorAt(start, "unterminated quoted label")
+		}
+		i += j + 1
+		if i < len(s.src) && s.src[i] == '\'' {
+			i++
+			continue
+		}
+		s.pos = i
+		return span{kind: tokLabel, pos: start, end: i}, nil
+	}
+}
+
+// lexBare finds the end of an unquoted label or number: a maximal run of
+// non-structural bytes.
+func (s *Scanner) lexBare() (span, error) {
+	start, src := s.pos, s.src
+	i := start
+	for i < len(src) && !structural[src[i]] {
+		i++
+	}
+	if i == start {
+		return span{}, s.errorAt(start, "empty label")
+	}
+	s.pos = i
+	return span{kind: tokLabel, pos: start, end: i}, nil
+}
+
+// structural is the table form of isStructural.
+var structural = func() (t [256]bool) {
+	for b := range t {
+		t[b] = isStructural(byte(b))
+	}
+	return t
+}()
+
+// decode appends the decoded text of label token t to dst[:0]: a quoted
+// label loses its quotes and unescapes doubled quotes, a bare one reads
+// '_' as a space.
+func (s *Scanner) decode(t span, dst []byte) []byte {
+	text := s.src[t.pos:t.end]
+	dst = dst[:0]
+	if text[0] == '\'' {
+		text = text[1 : len(text)-1]
+		for {
+			j := strings.Index(text, "''")
+			if j < 0 {
+				return append(dst, text...)
+			}
+			dst = append(dst, text[:j+1]...)
+			text = text[j+2:]
+		}
+	}
+	dst = append(dst, text...)
+	if bytes.IndexByte(dst, '_') >= 0 {
+		for k, b := range dst {
+			if b == '_' {
+				dst[k] = ' '
+			}
+		}
+	}
+	return dst
+}

@@ -59,6 +59,10 @@ func (d Delta) String() string {
 // Comparison is the outcome of gating a current suite against a baseline.
 type Comparison struct {
 	Opts Options
+	// BaseHost and CurHost are the suites' measuring machines (nil when
+	// unrecorded). They are reported, not gated on: numbers from two
+	// hosts compare the hardware as much as the code.
+	BaseHost, CurHost *Host
 	// Compared counts (workload, engine) pairs present in both suites.
 	Compared int
 	// Regressions and Improvements hold deltas past the threshold;
@@ -100,7 +104,7 @@ func Compare(base, cur *Suite, opts Options) (*Comparison, error) {
 	if base.Scale != 0 && cur.Scale != 0 && base.Scale != cur.Scale {
 		return nil, fmt.Errorf("perfjson: scale mismatch: baseline %g vs current %g", base.Scale, cur.Scale)
 	}
-	cmp := &Comparison{Opts: opts}
+	cmp := &Comparison{Opts: opts, BaseHost: base.Host, CurHost: cur.Host}
 	th := opts.threshold()
 	baseByKey := base.byKey()
 	curByKey := cur.byKey()
@@ -182,6 +186,7 @@ func (c *Comparison) WriteText(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "perf gate: %s (%d compared, %d regressed, %d improved, threshold %.0f%%)\n",
 		verdict, c.Compared, len(c.Regressions), len(c.Improvements), c.Opts.threshold()*100)
+	fmt.Fprintf(w, "baseline host: %s\ncurrent host:  %s\n", c.BaseHost, c.CurHost)
 	if len(c.Regressions)+len(c.Improvements) > 0 {
 		tab := tabfmt.New("", "Direction", "Workload/Engine", "Metric", "Baseline", "Current", "Delta")
 		for _, d := range c.Regressions {

@@ -243,3 +243,27 @@ func TestComparisonWriteText(t *testing.T) {
 		}
 	}
 }
+
+// TestComparisonNamesBothHosts: the report names the machine behind each
+// suite, "unrecorded" for a suite without one, and hosts do not gate.
+func TestComparisonNamesBothHosts(t *testing.T) {
+	base, cur := benchSuite(2), benchSuite(2)
+	cur.Host = &Host{CPU: "Test CPU", NumCPU: 4, GOMAXPROCS: 3, GoVersion: "go1.99"}
+	cmp, err := Compare(base, cur, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cmp.OK() {
+		t.Fatal("a host difference alone failed the gate")
+	}
+	var sb strings.Builder
+	if err := cmp.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"baseline host: unrecorded", "current host:  Test CPU, nproc 4, GOMAXPROCS 3, go1.99"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("WriteText output missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -103,8 +104,58 @@ type Suite struct {
 	Timestamp string `json:"timestamp,omitempty"`
 	// Scale is the rfbench -scale factor the workloads ran at; suites
 	// measured at different scales are not comparable.
-	Scale   float64  `json:"scale,omitempty"`
+	Scale float64 `json:"scale,omitempty"`
+	// Host fingerprints the machine the suite was measured on; nil in
+	// suites recorded before hosts were.
+	Host    *Host    `json:"host,omitempty"`
 	Records []Record `json:"records"`
+}
+
+// Host fingerprints a measuring machine, so a comparison across suites
+// can tell a code change from a change of hardware.
+type Host struct {
+	// CPU is the processor model name ("unknown" where the OS does not
+	// say).
+	CPU string `json:"cpu"`
+	// NumCPU is the logical CPU count; GOMAXPROCS the Go scheduler's
+	// parallelism at measurement time.
+	NumCPU     int `json:"nproc"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// GoVersion is the toolchain that built the measured binary.
+	GoVersion string `json:"go_version"`
+}
+
+// CurrentHost fingerprints the running machine.
+func CurrentHost() *Host {
+	return &Host{
+		CPU:        cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+}
+
+// cpuModel reads the first "model name" of /proc/cpuinfo, or reports
+// "unknown" where that file does not exist or carries no model.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return "unknown"
+}
+
+// String renders the host on one line; a nil host is "unrecorded".
+func (h *Host) String() string {
+	if h == nil {
+		return "unrecorded"
+	}
+	return fmt.Sprintf("%s, nproc %d, GOMAXPROCS %d, %s", h.CPU, h.NumCPU, h.GOMAXPROCS, h.GoVersion)
 }
 
 // Validate checks the envelope and every record, including key

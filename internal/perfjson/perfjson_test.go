@@ -155,3 +155,34 @@ func TestGitCommitNeverFails(t *testing.T) {
 		t.Error("GitCommit returned empty string in repo")
 	}
 }
+
+// TestHostRoundTrip: a suite's host fingerprint survives encoding, and a
+// suite recorded before hosts were still decodes, with a nil host.
+func TestHostRoundTrip(t *testing.T) {
+	s := validSuite()
+	s.Host = CurrentHost()
+	if s.Host.NumCPU <= 0 || s.Host.GOMAXPROCS <= 0 || s.Host.CPU == "" || s.Host.GoVersion == "" {
+		t.Fatalf("incomplete host fingerprint %+v", s.Host)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Host == nil || *got.Host != *s.Host {
+		t.Fatalf("host = %+v, want %+v", got.Host, s.Host)
+	}
+	buf.Reset()
+	if err := Encode(&buf, validSuite()); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"host"`) {
+		t.Error("a suite without a host encodes a host field")
+	}
+	if got, err := Decode(&buf); err != nil || got.Host != nil {
+		t.Fatalf("host-less suite: host %v, err %v", got.Host, err)
+	}
+}

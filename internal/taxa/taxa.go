@@ -88,6 +88,19 @@ func (s *Set) Index(name string) (int, bool) {
 	return i, true
 }
 
+// IndexBytes is Index for a name held as bytes — a label view straight
+// out of a Newick statement. It does not allocate.
+func (s *Set) IndexBytes(name []byte) (int, bool) {
+	if s == nil {
+		return -1, false
+	}
+	i, ok := s.index[string(name)]
+	if !ok {
+		return -1, false
+	}
+	return i, true
+}
+
 // Contains reports whether name is in the catalogue.
 func (s *Set) Contains(name string) bool {
 	_, ok := s.Index(name)

@@ -20,7 +20,6 @@ package repro
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/bipart"
 	"repro/internal/collection"
@@ -220,24 +219,15 @@ func AverageRFFiles(queryPath, refPath string, cfg Config) ([]Result, error) {
 // AverageRFNewick computes average RF of every query Newick string against
 // the reference Newick strings.
 func AverageRFNewick(queries, refs []string, cfg Config) ([]Result, error) {
-	q, err := parseAll(queries)
+	q, err := collection.FromNewick(queries)
 	if err != nil {
 		return nil, fmt.Errorf("repro: query: %w", err)
 	}
-	r, err := parseAll(refs)
+	r, err := collection.FromNewick(refs)
 	if err != nil {
 		return nil, fmt.Errorf("repro: reference: %w", err)
 	}
 	return averageRF(q, r, cfg)
-}
-
-func parseAll(newicks []string) (collection.Source, error) {
-	r := newick.NewReader(strings.NewReader(strings.Join(newicks, "\n")))
-	trees, err := r.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return collection.FromTrees(trees), nil
 }
 
 func averageRF(q, r collection.Source, cfg Config) ([]Result, error) {
@@ -318,7 +308,7 @@ func PairwiseRF(newick1, newick2 string) (int, error) {
 // the Newick file directly from its bipartition frequency hash and returns
 // it as a Newick string. threshold 0.5 is majority rule.
 func ConsensusFile(refPath string, threshold float64, cfg Config) (string, error) {
-	r, err := collection.OpenFile(refPath)
+	r, err := collection.OpenFileOpts(refPath, cfg.ingest())
 	if err != nil {
 		return "", err
 	}
@@ -328,7 +318,7 @@ func ConsensusFile(refPath string, threshold float64, cfg Config) (string, error
 
 // ConsensusNewick is ConsensusFile over in-memory Newick strings.
 func ConsensusNewick(refs []string, threshold float64, cfg Config) (string, error) {
-	r, err := parseAll(refs)
+	r, err := collection.FromNewick(refs)
 	if err != nil {
 		return "", fmt.Errorf("repro: reference: %w", err)
 	}
@@ -345,7 +335,7 @@ func consensus(r collection.Source, threshold float64, cfg Config) (string, erro
 // of the collection: splits are added in decreasing support order while
 // compatible. minSupport prunes the candidate list.
 func GreedyConsensusFile(refPath string, minSupport float64, cfg Config) (string, error) {
-	r, err := collection.OpenFile(refPath)
+	r, err := collection.OpenFileOpts(refPath, cfg.ingest())
 	if err != nil {
 		return "", err
 	}
@@ -357,7 +347,7 @@ func GreedyConsensusFile(refPath string, minSupport float64, cfg Config) (string
 
 // GreedyConsensusNewick is GreedyConsensusFile over in-memory strings.
 func GreedyConsensusNewick(refs []string, minSupport float64, cfg Config) (string, error) {
-	r, err := parseAll(refs)
+	r, err := collection.FromNewick(refs)
 	if err != nil {
 		return "", fmt.Errorf("repro: reference: %w", err)
 	}
