@@ -67,7 +67,8 @@ go test -run 'TestCrashAndResume|TestCorruptCheckpointQuarantine|TestResumeRejec
 go test -run 'TestSnapshotCrashAndReload|TestDeltaMatchesScratchBuild' -count=1 ./cmd/bfhrf
 
 echo "== fuzz smoke (10s per target) =="
-go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/newick
+go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/newick
+go test -run='^$' -fuzz=FuzzParseMatchesReference -fuzztime=10s ./internal/newick
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/nexus
 go test -run='^$' -fuzz=FuzzExtractNewick -fuzztime=10s ./internal/bipart
 go test -run='^$' -fuzz=FuzzTable -fuzztime=10s ./internal/bfhtable

@@ -89,8 +89,8 @@ type File struct {
 	f     *os.File
 	gz    *gzip.Reader
 	r     treeReader
-	nr    *newick.Reader // concrete reader when plain Newick, for resync
-	raw   *rawScanner    // non-nil for plain Newick; enables NextRaw
+	nr    *newick.Reader // plain Newick: Next, NextRaw and resync all use it
+	rawOK bool           // NextRaw allowed: plain Newick, no ingest options
 	count int            // trees seen on the first full pass; -1 until known
 	seen  int
 	opts  Options
@@ -186,27 +186,18 @@ func (s *File) Reset() error {
 	}
 	pbr := bufio.NewReader(rd)
 	// Format sniff: "#NEXUS" (optionally after whitespace) vs Newick.
-	// For plain Newick a raw-statement scanner shares the buffered reader:
-	// per pass, use either Next or NextRaw, never both. The raw fast path
-	// is disabled whenever ingest options are set — raw statements bypass
-	// the per-tree parser, so limits and lenient skipping could not be
-	// enforced on them.
+	// For plain Newick one reader serves Next and NextRaw: per pass, use
+	// either, never both. The raw fast path is disabled whenever ingest
+	// options are set — raw statements bypass the per-tree parser, so
+	// limits and lenient skipping could not be enforced on them.
 	if isNexus(pbr) {
 		xr := nexus.NewReader(pbr)
 		xr.SetLimits(s.opts.Limits)
-		s.r = xr
-		s.nr = nil
-		s.raw = nil
+		s.r, s.nr, s.rawOK = xr, nil, false
 	} else {
 		nr := newick.NewReader(pbr)
 		nr.SetLimits(s.opts.Limits)
-		s.r = nr
-		s.nr = nr
-		if s.opts.zero() {
-			s.raw = newRawScanner(pbr)
-		} else {
-			s.raw = nil
-		}
+		s.r, s.nr, s.rawOK = nr, nr, s.opts.zero()
 	}
 	s.seen = 0
 	s.diags = nil

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -91,6 +92,42 @@ func TestLenientSkipsOverLimitTrees(t *testing.T) {
 	}
 	if d := f.Diags(); len(d) != 1 || !d[0].Limit {
 		t.Fatalf("diags = %v", f.Diags())
+	}
+}
+
+// TestLenientResyncsAtStatementBoundaries pins the resync rule: a bad
+// tree costs exactly its own statement, up to its top-level ';'. The
+// text after a misplaced ';' is a statement of its own, so "(a,b;c);"
+// is two bad trees, not one.
+func TestLenientResyncsAtStatementBoundaries(t *testing.T) {
+	path := writeTemp(t, "semi.nwk", "(a,b;c);(d,e);\n")
+	f, err := OpenFileOpts(path, Options{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if got := drainLeaves(t, f); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("lenient read got leaf counts %v, want [2]", got)
+	}
+	if d := f.Diags(); len(d) != 2 || d[0].Tree != 1 || d[1].Tree != 2 {
+		t.Fatalf("diags = %v, want trees 1 and 2", d)
+	}
+}
+
+// TestLenientOverByteLimitKeepsLaterTrees: skipping an oversized tree
+// leaves the trees after it under their own byte windows.
+func TestLenientOverByteLimitKeepsLaterTrees(t *testing.T) {
+	path := writeTemp(t, "long.nwk", "(a,b);\n("+strings.Repeat("x,", 50)+"y);\n(c,d);\n(e,(f,g));\n")
+	f, err := OpenFileOpts(path, Options{Lenient: true, Limits: newick.Limits{MaxTreeBytes: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if got := drainLeaves(t, f); len(got) != 3 || got[2] != 3 {
+		t.Fatalf("lenient read got leaf counts %v, want [2 2 3]", got)
+	}
+	if d := f.Diags(); len(d) != 1 || !d[0].Limit || d[0].Tree != 2 || d[0].Line != 2 {
+		t.Fatalf("diags = %v, want one over-limit tree 2 on line 2", d)
 	}
 }
 

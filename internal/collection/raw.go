@@ -1,8 +1,6 @@
 package collection
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -36,10 +34,10 @@ func (s *File) NextRaw() (string, error) {
 			return "", err
 		}
 	}
-	if s.raw == nil {
+	if !s.rawOK {
 		return "", ErrRawUnsupported
 	}
-	stmt, err := s.raw.next()
+	stmt, err := s.nr.ReadStatement()
 	if err == io.EOF {
 		if s.count < 0 {
 			s.count = s.seen
@@ -74,8 +72,8 @@ func (h *Head) NextRaw() (string, error) {
 
 // Text is an in-memory RawSource over Newick statements — the collection
 // behind the Newick-string entry points. Its statements are split once, up
-// front, by the same rules a file's raw scanner applies, so engines
-// extract their splits in parallel workers; Next parses one on demand for
+// front, by the newick.Reader that splits a file's, so engines extract
+// their splits in parallel workers; Next parses one on demand for
 // consumers that need a tree.
 type Text struct {
 	stmts []string
@@ -86,10 +84,10 @@ type Text struct {
 // string may hold several statements, or a statement may span strings;
 // text after the last ';' other than whitespace and comments is an error.
 func FromNewick(newicks []string) (*Text, error) {
-	rs := newRawScanner(bufio.NewReader(strings.NewReader(strings.Join(newicks, "\n"))))
+	nr := newick.NewReader(strings.NewReader(strings.Join(newicks, "\n")))
 	t := &Text{}
 	for {
-		stmt, err := rs.next()
+		stmt, err := nr.ReadStatement()
 		if err == io.EOF {
 			return t, nil
 		}
@@ -127,79 +125,3 @@ func (t *Text) Reset() error { t.pos = 0; return nil }
 
 // Count implements Counter.
 func (t *Text) Count() int { return len(t.stmts) }
-
-// rawScanner splits a Newick stream into per-tree statements at top-level
-// semicolons, respecting quoted labels and (nested) bracket comments. It
-// performs no parsing beyond that, so splitting is far cheaper than tree
-// construction and the expensive work lands in parallel workers. It reads
-// ';'-terminated chunks straight out of the buffered reader and only
-// walks a chunk byte by byte when it holds a quote or a comment.
-type rawScanner struct {
-	br  *bufio.Reader
-	buf []byte
-}
-
-func newRawScanner(br *bufio.Reader) *rawScanner { return &rawScanner{br: br} }
-
-func (rs *rawScanner) next() (string, error) {
-	rs.buf = rs.buf[:0]
-	inQuote := false
-	depth := 0
-	for {
-		chunk, err := rs.br.ReadSlice(';')
-		rs.buf = append(rs.buf, chunk...)
-		if inQuote || depth > 0 || bytes.IndexByte(chunk, '\'') >= 0 || bytes.IndexByte(chunk, '[') >= 0 {
-			inQuote, depth, _ = splitState(chunk, inQuote, depth)
-		}
-		switch {
-		case err == nil:
-			if !inQuote && depth == 0 {
-				return string(rs.buf), nil
-			}
-		case err == io.EOF:
-			if _, _, content := splitState(rs.buf, false, 0); content || inQuote || depth > 0 {
-				return "", fmt.Errorf("unterminated tree statement %q", clip(string(rs.buf)))
-			}
-			return "", io.EOF
-		case err != bufio.ErrBufferFull:
-			return "", err
-		}
-	}
-}
-
-// splitState advances the quote and comment-depth state over b — a ';'
-// ends a statement only where both are clear — and reports whether b
-// holds anything but whitespace and comments.
-func splitState(b []byte, inQuote bool, depth int) (bool, int, bool) {
-	content := false
-	for _, c := range b {
-		switch {
-		case inQuote:
-			if c == '\'' {
-				inQuote = false // doubled quotes toggle twice, harmlessly
-			}
-		case depth > 0:
-			switch c {
-			case '[':
-				depth++
-			case ']':
-				depth--
-			}
-		case c == '\'':
-			inQuote, content = true, true
-		case c == '[':
-			depth++
-		case c != ' ' && c != '\t' && c != '\n' && c != '\r':
-			content = true
-		}
-	}
-	return inQuote, depth, content
-}
-
-func clip(s string) string {
-	s = strings.TrimSpace(s)
-	if len(s) > 40 {
-		return s[:40] + "…"
-	}
-	return s
-}

@@ -1,8 +1,14 @@
 package newick
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/tree"
 )
 
 // FuzzParse is the native-fuzzing counterpart of the quick-check tests:
@@ -75,4 +81,98 @@ func FuzzReaderMultiTree(f *testing.F) {
 		}
 		t.Fatalf("reader yielded over %d trees from %d bytes", 1<<12, len(input))
 	})
+}
+
+// FuzzParseMatchesReference holds Parse, ParseLimits and Reader to the
+// retired lexer/parser in reference_test.go: the same trees (names,
+// length bits, child order) and the same *ParseError (Msg, Line, Limit
+// and Pos, byte-budget errors included), for single statements and for
+// multi-tree streams read through small and default buffers, with and
+// without Limits.
+func FuzzParseMatchesReference(f *testing.F) {
+	for _, seed := range []string{
+		"(a,b);",
+		"((a:1,b:2):0.5,c:3);\n(d,(e,f)g);",
+		"('q;uo''te',b_c)root[c;[n]];(x,y);",
+		"(a,b;c);(d,e);",
+		"(a,b,c,d);",
+		"  [lead]\n(a,(b,(c,(d,e))));\n\n",
+		"(a,b);(c,d",
+		"(a,b);[open",
+		"(a,b);'open",
+		"a;b;",
+		"(a:1e-5,b:-.5,c:+1);",
+		"(A,B,C);(A,B,D);",
+	} {
+		f.Add(seed, uint16(0), uint8(0))
+		f.Add(seed, uint16(9), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, input string, maxBytes uint16, maxTaxa uint8) {
+		if len(input) > 1<<14 {
+			return
+		}
+		for _, lim := range []Limits{{}, {MaxTreeBytes: int(maxBytes), MaxTaxa: int(maxTaxa)}} {
+			got, gotErr := ParseLimits(input, lim)
+			want, wantErr := refParse(input, lim)
+			if msg := sameOutcome(got, gotErr, want, wantErr); msg != "" {
+				t.Fatalf("ParseLimits(%q, %+v): %s", input, lim, msg)
+			}
+			for _, size := range []int{16, 4096} {
+				r := NewReader(bufio.NewReaderSize(strings.NewReader(input), size))
+				r.SetLimits(lim)
+				ref := newRefReader(strings.NewReader(input))
+				ref.SetLimits(lim)
+				for i := 0; ; i++ {
+					got, gotErr := r.Read()
+					want, wantErr := ref.Read()
+					if msg := sameOutcome(got, gotErr, want, wantErr); msg != "" {
+						t.Fatalf("Reader(%q, %+v, buffer %d) tree %d: %s", input, lim, size, i, msg)
+					}
+					if gotErr != nil {
+						break
+					}
+				}
+			}
+		}
+	})
+}
+
+// sameOutcome compares one parse against the reference's, returning a
+// description of the first difference.
+func sameOutcome(got *tree.Tree, gotErr error, want *tree.Tree, wantErr error) string {
+	if (gotErr == nil) != (wantErr == nil) {
+		return fmt.Sprintf("error %v, reference %v", gotErr, wantErr)
+	}
+	if gotErr != nil {
+		var g, w *ParseError
+		if !errors.As(gotErr, &g) || !errors.As(wantErr, &w) {
+			if gotErr != wantErr {
+				return fmt.Sprintf("error %v, reference %v", gotErr, wantErr)
+			}
+			return ""
+		}
+		if *g != *w {
+			return fmt.Sprintf("error %+v, reference %+v", *g, *w)
+		}
+		return ""
+	}
+	return sameNode(got.Root, want.Root, nil)
+}
+
+func sameNode(a, b, parent *tree.Node) string {
+	if a.Parent != parent {
+		return fmt.Sprintf("node %q: wrong parent pointer", a.Name)
+	}
+	if a.Name != b.Name || a.HasLength != b.HasLength || math.Float64bits(a.Length) != math.Float64bits(b.Length) {
+		return fmt.Sprintf("node %q:%v(%v), reference %q:%v(%v)", a.Name, a.Length, a.HasLength, b.Name, b.Length, b.HasLength)
+	}
+	if len(a.Children) != len(b.Children) || (a.Children == nil) != (b.Children == nil) {
+		return fmt.Sprintf("node %q: %d children, reference %d", a.Name, len(a.Children), len(b.Children))
+	}
+	for i := range a.Children {
+		if msg := sameNode(a.Children[i], b.Children[i], a); msg != "" {
+			return msg
+		}
+	}
+	return ""
 }

@@ -1,6 +1,7 @@
 package newick
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"strings"
@@ -120,5 +121,46 @@ func TestInjectedParseFaultLooksMalformed(t *testing.T) {
 	}
 	if _, err := r.Read(); err != nil {
 		t.Fatalf("tree after injected fault: %v", err)
+	}
+}
+
+// TestBudgetsMatchReference sweeps MaxTreeBytes (and MaxTaxa) across
+// streams whose trees, comments, quotes and blank tails straddle every
+// window boundary: each Read and ParseLimits must fail or succeed exactly
+// where the reference lexer does.
+func TestBudgetsMatchReference(t *testing.T) {
+	inputs := []string{
+		"(a,b,c,d);",
+		"(a,b);\n(" + strings.Repeat("a,", 12) + "b);\n(c,d);\n\n",
+		"  [lead ; in]\n('q;u''o',b_c)r:1.5[x];\n'solo';\n[tail",
+		"leaf;(x:1,(y,z):2);   ",
+		"(a,b);'unterminated",
+		"((a,b)[c],(c,d)'e');(f,g);",
+	}
+	for _, in := range inputs {
+		for budget := 0; budget <= len(in)+2; budget++ {
+			for _, taxa := range []int{0, 2, 3} {
+				lim := Limits{MaxTreeBytes: budget, MaxTaxa: taxa}
+				got, gotErr := ParseLimits(in, lim)
+				want, wantErr := refParse(in, lim)
+				if msg := sameOutcome(got, gotErr, want, wantErr); msg != "" {
+					t.Fatalf("ParseLimits(%q, %+v): %s", in, lim, msg)
+				}
+				r := NewReader(bufio.NewReaderSize(strings.NewReader(in), 16))
+				r.SetLimits(lim)
+				ref := newRefReader(strings.NewReader(in))
+				ref.SetLimits(lim)
+				for i := 0; ; i++ {
+					got, gotErr := r.Read()
+					want, wantErr := ref.Read()
+					if msg := sameOutcome(got, gotErr, want, wantErr); msg != "" {
+						t.Fatalf("Reader(%q, %+v) tree %d: %s", in, lim, i, msg)
+					}
+					if gotErr != nil {
+						break
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,22 +1,21 @@
 // Package newick implements reading and writing of phylogenetic trees in
 // the Newick format, the interchange format of the paper's datasets.
 //
-// The parser supports the full practical grammar: nested subtrees, leaf and
-// internal labels (bare, underscore-encoded, or single-quoted), branch
-// lengths, nested bracket comments, and multi-tree files (one tree per ';').
-// The Reader type streams trees one at a time so that collections with
-// hundreds of thousands of trees (the paper's Insect set has 149,278) never
-// need to be resident in memory at once — the property BFHRF's dynamic
-// loading depends on.
+// The grammar covers nested subtrees, leaf and internal labels (bare,
+// underscore-encoded, or single-quoted), branch lengths, nested bracket
+// comments, and multi-tree files (one tree per ';'). Scanner is its one
+// implementation; Parse and Reader build trees from its events. The
+// Reader type streams trees one at a time so that collections with
+// hundreds of thousands of trees (the paper's Insect set has 149,278)
+// never need to be resident in memory at once — the property BFHRF's
+// dynamic loading depends on.
 package newick
 
 import (
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"sync"
 
-	"repro/internal/faultinject"
 	"repro/internal/tree"
 )
 
@@ -44,28 +43,29 @@ func (e *ParseError) Error() string {
 // unlimited. Exceeding a limit yields a *ParseError with Limit set — a
 // clean, skippable per-tree failure instead of a runaway allocation.
 type Limits struct {
-	// MaxTreeBytes caps the serialized size of one tree (bytes consumed
-	// between its first token and its ';').
+	// MaxTreeBytes caps the bytes read for one tree: from the end of its
+	// first token through its ';' (and, in a stream, through the first
+	// token of the tree after it).
 	MaxTreeBytes int
 	// MaxTaxa caps the number of leaves in one tree.
 	MaxTaxa int
 }
 
 // Parse parses a single Newick tree from s. Trailing input after the
-// terminating ';' (other than whitespace) is an error.
+// terminating ';' (other than whitespace and comments) is an error; a
+// blank s is io.EOF.
 func Parse(s string) (*tree.Tree, error) {
-	r := NewReader(strings.NewReader(s))
-	t, err := r.Read()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.Read(); err != io.EOF {
-		if err == nil {
-			return nil, &ParseError{Pos: 0, Msg: "unexpected extra tree after ';'"}
-		}
-		return nil, err
-	}
-	return t, nil
+	return ParseLimits(s, Limits{})
+}
+
+// ParseLimits is Parse under per-tree resource limits. s is read as a
+// whole stream, so its end counts against the byte budget.
+func ParseLimits(s string, lim Limits) (*tree.Tree, error) {
+	b := builders.Get().(*builder)
+	defer b.release()
+	b.sc.Reset(s)
+	b.sc.limit(lim, lim.MaxTreeBytes, true)
+	return b.build()
 }
 
 // MustParse is Parse but panics on error. For tests and literals.
@@ -77,162 +77,100 @@ func MustParse(s string) *tree.Tree {
 	return t
 }
 
-// Reader streams trees from a multi-tree Newick source. Each call to Read
-// returns the next tree; io.EOF signals a clean end of input.
-type Reader struct {
-	lx     *lexer
-	count  int
-	limits Limits
-	leaves int // leaf count of the tree currently being parsed
+// builder assembles a tree from a Scanner's events. Nodes are recorded
+// by index while the statement is scanned, so the tree can then be laid
+// out in one node slab, one children slab and one label string: four
+// allocations per tree, whatever its size.
+type builder struct {
+	sc    Scanner
+	recs  []nodeRec
+	open  []int32 // indices of the internal nodes not yet closed
+	names []byte  // decoded labels, back to back
 }
 
-// NewReader wraps r in a streaming Newick reader.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{lx: newLexer(r)}
+// nodeRec is one node in preorder: its parent's index (-1 for the root),
+// child count, label span in names and branch length.
+type nodeRec struct {
+	parent, kids int32
+	name, end    int32
+	length       float64
+	hasLength    bool
 }
 
-// SetLimits applies per-tree resource limits to subsequent Reads.
-func (r *Reader) SetLimits(l Limits) {
-	r.limits = l
-	r.lx.budget = l.MaxTreeBytes
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// release returns b to the pool without keeping the statement alive.
+func (b *builder) release() {
+	b.sc.Reset("")
+	builders.Put(b)
 }
 
-// TreesRead returns the number of trees successfully read so far.
-func (r *Reader) TreesRead() int { return r.count }
-
-// Pos returns the byte offset and 1-based line of the reader's position,
-// for per-tree diagnostics in lenient mode.
-func (r *Reader) Pos() (offset, line int) { return r.lx.pos, r.lx.line }
-
-// SkipTree abandons the current (malformed or oversized) tree and
-// advances past its terminating ';' so the next Read starts on the
-// following tree. Returns io.EOF if the input ends before a ';'.
-func (r *Reader) SkipTree() error {
-	return r.lx.skipToSemi()
-}
-
-// Read parses and returns the next tree, or io.EOF when input is exhausted.
-func (r *Reader) Read() (*tree.Tree, error) {
-	// Skip to the first meaningful token; bare EOF here is a clean end.
-	tok, err := r.lx.peek()
-	if err != nil {
-		return nil, err
-	}
-	if tok.kind == tokEOF {
-		return nil, io.EOF
-	}
-	if err := faultinject.Hit(faultinject.PointParseTree); err != nil {
-		// Injected parse faults impersonate malformed trees so lenient
-		// ingest exercises exactly the recovery path real corruption takes.
-		return nil, &ParseError{Pos: tok.pos, Line: r.lx.line, Msg: err.Error()}
-	}
-	r.lx.startTree()
-	r.leaves = 0
-	root, err := r.parseNode()
-	if err != nil {
-		return nil, err
-	}
-	tok, err = r.lx.next()
-	if err != nil {
-		return nil, err
-	}
-	if tok.kind != tokSemi {
-		return nil, &ParseError{Pos: tok.pos, Line: r.lx.line, Msg: fmt.Sprintf("expected ';' after tree, found %s", tok.kind)}
-	}
-	r.count++
-	return tree.New(root), nil
-}
-
-// ReadAll reads every remaining tree. Prefer streaming Read for large files.
-func (r *Reader) ReadAll() ([]*tree.Tree, error) {
-	var out []*tree.Tree
+// build scans the statement b.sc was Reset to and returns its tree.
+func (b *builder) build() (*tree.Tree, error) {
+	b.recs, b.open, b.names = b.recs[:0], b.open[:0], b.names[:0]
 	for {
-		t, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
+		ev, err := b.sc.Next()
 		if err != nil {
+			if b.sc.blank {
+				return nil, io.EOF
+			}
 			return nil, err
 		}
-		out = append(out, t)
+		switch ev {
+		case Open:
+			b.open = append(b.open, b.add())
+		case Leaf:
+			b.label(b.add())
+		case Close:
+			top := len(b.open) - 1
+			b.label(b.open[top])
+			b.open = b.open[:top]
+		case End:
+			return b.tree(), nil
+		}
 	}
 }
 
-// parseNode parses a subtree: either "(child,child,...)label:length" or a
-// leaf "label:length".
-func (r *Reader) parseNode() (*tree.Node, error) {
-	tok, err := r.lx.peek()
-	if err != nil {
-		return nil, err
+// add records a new node under the innermost open one.
+func (b *builder) add() int32 {
+	parent := int32(-1)
+	if n := len(b.open); n > 0 {
+		parent = b.open[n-1]
+		b.recs[parent].kids++
 	}
-	n := &tree.Node{}
-	if tok.kind == tokOpen {
-		r.lx.next() // consume '('
-		for {
-			child, err := r.parseNode()
-			if err != nil {
-				return nil, err
-			}
-			n.AddChild(child)
-			sep, err := r.lx.next()
-			if err != nil {
-				return nil, err
-			}
-			if sep.kind == tokComma {
-				continue
-			}
-			if sep.kind == tokClose {
-				break
-			}
-			return nil, &ParseError{Pos: sep.pos, Line: r.lx.line, Msg: fmt.Sprintf("expected ',' or ')' in subtree, found %s", sep.kind)}
-		}
-	} else if tok.kind != tokLabel {
-		return nil, &ParseError{Pos: tok.pos, Line: r.lx.line, Msg: fmt.Sprintf("expected '(' or label, found %s", tok.kind)}
-	}
+	b.recs = append(b.recs, nodeRec{parent: parent})
+	return int32(len(b.recs) - 1)
+}
 
-	// Optional label.
-	tok, err = r.lx.peek()
-	if err != nil {
-		return nil, err
-	}
-	if tok.kind == tokLabel {
-		r.lx.next()
-		n.Name = tok.text
-	}
+// label stores the scanner's current label and length on node i.
+func (b *builder) label(i int32) {
+	r := &b.recs[i]
+	r.name = int32(len(b.names))
+	b.names = append(b.names, b.sc.Label()...)
+	r.end = int32(len(b.names))
+	r.length, r.hasLength = b.sc.Length()
+}
 
-	// Optional ":length".
-	tok, err = r.lx.peek()
-	if err != nil {
-		return nil, err
-	}
-	if tok.kind == tokColon {
-		r.lx.next()
-		lt, err := r.lx.next()
-		if err != nil {
-			return nil, err
+// tree lays the recorded nodes out. A node's children window is cut with
+// cap == len, so a later AddChild reallocates instead of overwriting the
+// next node's children; leaves keep nil Children.
+func (b *builder) tree() *tree.Tree {
+	nodes := make([]tree.Node, len(b.recs))
+	kids := make([]*tree.Node, len(b.recs)-1)
+	names := string(b.names)
+	for i := range b.recs {
+		r, n := &b.recs[i], &nodes[i]
+		n.Name = names[r.name:r.end]
+		n.Length, n.HasLength = r.length, r.hasLength
+		if r.kids > 0 {
+			n.Children = kids[:0:r.kids]
+			kids = kids[r.kids:]
 		}
-		if lt.kind != tokLabel {
-			return nil, &ParseError{Pos: lt.pos, Line: r.lx.line, Msg: fmt.Sprintf("expected branch length after ':', found %s", lt.kind)}
-		}
-		// Undo the underscore-to-space decoding for numbers (numbers never
-		// legitimately contain underscores, but be strict anyway).
-		v, err := strconv.ParseFloat(strings.TrimSpace(lt.text), 64)
-		if err != nil {
-			return nil, &ParseError{Pos: lt.pos, Line: r.lx.line, Msg: fmt.Sprintf("invalid branch length %q", lt.text)}
-		}
-		n.Length = v
-		n.HasLength = true
-	}
-
-	if len(n.Children) == 0 {
-		if n.Name == "" {
-			return nil, &ParseError{Pos: tok.pos, Line: r.lx.line, Msg: "leaf without a name"}
-		}
-		r.leaves++
-		if r.limits.MaxTaxa > 0 && r.leaves > r.limits.MaxTaxa {
-			return nil, &ParseError{Pos: tok.pos, Line: r.lx.line, Limit: true,
-				Msg: fmt.Sprintf("tree exceeds %d-taxon limit", r.limits.MaxTaxa)}
+		if r.parent >= 0 {
+			p := &nodes[r.parent]
+			n.Parent = p
+			p.Children = append(p.Children, n)
 		}
 	}
-	return n, nil
+	return tree.New(&nodes[0])
 }

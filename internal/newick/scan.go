@@ -30,25 +30,30 @@ const (
 
 // Scanner walks one Newick statement as a stream of events without
 // building a tree: no node structs, no label strings, and no allocation
-// once its scratch buffers have grown. It accepts exactly the inputs
-// Parse accepts and rejects the rest with the same *ParseError (offset
-// and line within the statement, same message); only a blank statement,
-// which Parse reports as io.EOF, is a ParseError here. It shares the
-// lexer's grammar: structural bytes, '_' decoded as a space in bare
-// labels, doubled-quote escapes in quoted labels, nested [...] comments,
-// and branch lengths read as strconv.ParseFloat reads them after
-// strings.TrimSpace. Like Reader.Read, it fires the parse-tree fault
-// point once per statement.
+// once its scratch buffers have grown. It is the package's one grammar:
+// Parse and Reader build their trees from its events, and
+// bipart.Extractor.ExtractNewick turns them straight into splits. The
+// grammar: structural bytes end bare labels, '_' is decoded as a space
+// in bare labels, quoted labels unescape doubled quotes, [...] comments
+// nest, and branch lengths are read as strconv.ParseFloat reads them
+// after strings.TrimSpace. Text after the statement's ';' may only be
+// whitespace and comments; a second tree there is an error. Errors are
+// *ParseError with the offset and line within the statement; a blank
+// statement, which Parse reports as io.EOF, is one too. It fires the
+// parse-tree fault point once per statement.
 //
 // A Scanner is reused across statements via Reset and is not safe for
 // concurrent use.
 type Scanner struct {
-	src   string
-	pos   int
-	depth int
-	state scanState
+	// src is the part of text that reads may reach: all of it, unless
+	// the MaxTreeBytes budget cuts it short (cut).
+	src, text string
+	cut       bool
+	pos       int
+	depth     int
+	state     scanState
 	// pend is the lookahead token, already lexed, that the next state
-	// consumes (the lexer's peek).
+	// consumes.
 	pend    span
 	hasPend bool
 	// extra is set while a second tree after the statement's ';' is
@@ -60,6 +65,52 @@ type Scanner struct {
 	num       []byte // scratch for decoding a branch length
 	length    float64
 	hasLength bool
+
+	// Limits (set by limit; zero means none). The byte budget is the
+	// streaming reader's: a tree's window opens after its first token,
+	// at treeStart, and reads before that still count against the
+	// previous tree's window. endIsRead makes reaching the end of text a
+	// read, as it is at the end of a stream but not after a statement's
+	// own ';'.
+	budget, maxTaxa, leaves int
+	treeStart               int
+	endIsRead               bool
+	// blank is set when the statement holds no token at all.
+	blank bool
+}
+
+// tokenKind enumerates the lexical token classes of the Newick grammar.
+type tokenKind int
+
+const (
+	tokEOF   tokenKind = iota
+	tokOpen            // (
+	tokClose           // )
+	tokComma           // ,
+	tokColon           // :
+	tokSemi            // ;
+	tokLabel           // bare or quoted label, or a branch length
+)
+
+func (k tokenKind) String() string {
+	switch k {
+	case tokEOF:
+		return "end of input"
+	case tokOpen:
+		return "'('"
+	case tokClose:
+		return "')'"
+	case tokComma:
+		return "','"
+	case tokColon:
+		return "':'"
+	case tokSemi:
+		return "';'"
+	case tokLabel:
+		return "label"
+	default:
+		return fmt.Sprintf("tokenKind(%d)", int(k))
+	}
 }
 
 // span is a token located in the statement: for a label, src[pos:end]
@@ -80,7 +131,40 @@ const (
 
 // Reset points the scanner at a new statement.
 func (s *Scanner) Reset(stmt string) {
-	*s = Scanner{src: stmt, label: s.label[:0], num: s.num[:0]}
+	*s = Scanner{src: stmt, text: stmt, treeStart: -1, label: s.label[:0], num: s.num[:0]}
+}
+
+// limit applies lim to the statement just Reset. carried is what remains
+// of the previous tree's byte window at the statement's first byte;
+// endIsRead says the statement is not cut off at its own ';'.
+func (s *Scanner) limit(lim Limits, carried int, endIsRead bool) {
+	s.budget, s.maxTaxa, s.endIsRead = lim.MaxTreeBytes, lim.MaxTaxa, endIsRead
+	s.window(carried)
+}
+
+// window lets reads reach only the statement's first n bytes, when a byte
+// budget is set; a read past them is a limit error (overBudget).
+func (s *Scanner) window(n int) {
+	if s.budget <= 0 {
+		return
+	}
+	s.src, s.cut = s.text, false
+	if n < len(s.text) || (n == len(s.text) && s.endIsRead) {
+		s.src, s.cut = s.text[:max(n, 0)], true
+	}
+}
+
+// openTree starts a tree whose first token was just read: its byte window
+// and taxon count begin here.
+func (s *Scanner) openTree() {
+	s.treeStart, s.leaves = s.pos, 0
+	s.window(s.pos + s.budget)
+}
+
+// overBudget is the error for a read past the byte window.
+func (s *Scanner) overBudget() *ParseError {
+	return &ParseError{Pos: len(s.src), Line: 1 + strings.Count(s.src, "\n"), Limit: true,
+		Msg: fmt.Sprintf("tree exceeds %d-byte limit", s.budget)}
 }
 
 // Label returns the decoded name of the current Leaf, or the internal
@@ -119,12 +203,15 @@ func (s *Scanner) step() (Event, error) {
 		if err != nil {
 			return 0, err
 		}
-		if tok.kind != tokEOF {
+		if tok.kind == tokEOF {
+			s.blank = true
+		} else {
 			if err := faultinject.Hit(faultinject.PointParseTree); err != nil {
-				// Injected parse faults impersonate malformed trees, as in
-				// Reader.Read.
+				// Injected parse faults impersonate malformed trees, so
+				// lenient ingest exercises the path real corruption takes.
 				return 0, s.errorAt(tok.pos, err.Error())
 			}
+			s.openTree()
 		}
 		s.pend, s.hasPend = tok, true
 		s.state = stNode
@@ -147,6 +234,11 @@ func (s *Scanner) step() (Event, error) {
 			}
 			if len(s.label) == 0 {
 				return 0, s.errorAt(after.pos, "leaf without a name")
+			}
+			if s.leaves++; s.maxTaxa > 0 && s.leaves > s.maxTaxa {
+				e := s.errorAt(after.pos, fmt.Sprintf("tree exceeds %d-taxon limit", s.maxTaxa))
+				e.Limit = true
+				return 0, e
 			}
 			s.state = stAfter
 			return Leaf, nil
@@ -190,8 +282,8 @@ func (s *Scanner) step() (Event, error) {
 }
 
 // end handles a ';' at depth 0. Only whitespace and comments may follow;
-// a second tree is parsed (silently) so a malformed one reports its own
-// error, exactly as Parse's second Read does.
+// a second tree is parsed (silently, in its own byte window) so a
+// malformed one reports its own error before the extra-tree one.
 func (s *Scanner) end() (Event, error) {
 	if s.extra {
 		return 0, &ParseError{Pos: 0, Msg: "unexpected extra tree after ';'"}
@@ -205,6 +297,7 @@ func (s *Scanner) end() (Event, error) {
 		return End, nil
 	}
 	s.extra = true
+	s.openTree()
 	s.pend, s.hasPend = tok, true
 	s.state = stNode
 	return 0, nil
@@ -303,13 +396,13 @@ func (s *Scanner) next() (span, error) {
 }
 
 // errorAt builds a ParseError at offset pos, stamped with the line the
-// lexer has reached (the streaming lexer's convention).
+// scanner has read up to.
 func (s *Scanner) errorAt(pos int, msg string) *ParseError {
 	return &ParseError{Pos: pos, Line: 1 + strings.Count(s.src[:s.pos], "\n"), Msg: msg}
 }
 
-// lex reads the next token. It is the string-indexed twin of lexer.lex;
-// a label's text is decoded only when a caller asks (decode).
+// lex reads the next token; a label's text is decoded only when a caller
+// asks (decode).
 func (s *Scanner) lex() (span, error) {
 	src := s.src
 	for s.pos < len(src) {
@@ -323,6 +416,9 @@ func (s *Scanner) lex() (span, error) {
 			start, depth := s.pos, 1
 			for depth > 0 {
 				if s.pos >= len(src) {
+					if s.cut {
+						return span{}, s.overBudget()
+					}
 					return span{}, s.errorAt(start, "unterminated comment")
 				}
 				switch src[s.pos] {
@@ -342,6 +438,9 @@ func (s *Scanner) lex() (span, error) {
 		}
 		return s.lexBare()
 	}
+	if s.cut {
+		return span{}, s.overBudget()
+	}
 	return span{kind: tokEOF, pos: s.pos}, nil
 }
 
@@ -356,9 +455,15 @@ func (s *Scanner) lexQuoted() (span, error) {
 		j := strings.IndexByte(s.src[i:], '\'')
 		if j < 0 {
 			s.pos = len(s.src)
+			if s.cut {
+				return span{}, s.overBudget()
+			}
 			return span{}, s.errorAt(start, "unterminated quoted label")
 		}
 		i += j + 1
+		if i == len(s.src) && s.cut {
+			return span{}, s.overBudget()
+		}
 		if i < len(s.src) && s.src[i] == '\'' {
 			i++
 			continue
@@ -376,6 +481,9 @@ func (s *Scanner) lexBare() (span, error) {
 	for i < len(src) && !structural[src[i]] {
 		i++
 	}
+	if i == len(src) && s.cut {
+		return span{}, s.overBudget()
+	}
 	if i == start {
 		return span{}, s.errorAt(start, "empty label")
 	}
@@ -383,10 +491,11 @@ func (s *Scanner) lexBare() (span, error) {
 	return span{kind: tokLabel, pos: start, end: i}, nil
 }
 
-// structural is the table form of isStructural.
+// structural marks the bytes that end a bare label: punctuation, quote,
+// comment brackets and whitespace.
 var structural = func() (t [256]bool) {
-	for b := range t {
-		t[b] = isStructural(byte(b))
+	for _, b := range []byte("(),:;[]' \t\n\r") {
+		t[b] = true
 	}
 	return t
 }()

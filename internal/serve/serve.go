@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -323,7 +322,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeQuery reads and validates the request body: size-capped JSON,
-// then per-tree hardened Newick parsing. Returns the parsed request,
+// then each tree parsed as a whole string under the configured limits,
+// so text after its ';' is an error. Returns the parsed request,
 // the trees, and on failure the HTTP status to answer with.
 func (s *Service) decodeQuery(w http.ResponseWriter, r *http.Request) (*queryRequest, []*tree.Tree, int, error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
@@ -350,9 +350,7 @@ func (s *Service) decodeQuery(w http.ResponseWriter, r *http.Request) (*queryReq
 	}
 	trees := make([]*tree.Tree, len(req.Trees))
 	for i, nwk := range req.Trees {
-		rd := newick.NewReader(strings.NewReader(nwk))
-		rd.SetLimits(s.cfg.Limits)
-		t, err := rd.Read()
+		t, err := newick.ParseLimits(nwk, s.cfg.Limits)
 		if err != nil {
 			return nil, nil, http.StatusBadRequest, fmt.Errorf("tree %d: %w", i, err)
 		}

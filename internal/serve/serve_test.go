@@ -195,23 +195,26 @@ func TestQueryValidation(t *testing.T) {
 		tenant string
 		body   any
 		want   int
+		reason string // the error body must contain it
 	}{
-		{"unknown collection", "", map[string]any{"collection": "nope", "trees": q}, 404},
-		{"path-escape collection", "", map[string]any{"collection": "../refs", "trees": q}, 400},
-		{"empty collection", "", map[string]any{"trees": q}, 400},
-		{"bad tenant", "a/b", map[string]any{"collection": "refs", "trees": q}, 400},
-		{"long tenant", strings.Repeat("x", 65), map[string]any{"collection": "refs", "trees": q}, 400},
-		{"no trees", "", map[string]any{"collection": "refs"}, 400},
-		{"too many trees", "", map[string]any{"collection": "refs", "trees": newickStrings(trees[:3])}, 413},
-		{"malformed json", "", `{"collection": refs`, 400},
-		{"malformed newick", "", map[string]any{"collection": "refs", "trees": []string{"((a,b"}}, 400},
-		{"unknown variant", "", map[string]any{"collection": "refs", "variant": "rooted", "trees": q}, 400},
-		{"info variant", "", map[string]any{"collection": "refs", "variant": "info", "trees": q}, 400},
+		{"unknown collection", "", map[string]any{"collection": "nope", "trees": q}, 404, ""},
+		{"path-escape collection", "", map[string]any{"collection": "../refs", "trees": q}, 400, ""},
+		{"empty collection", "", map[string]any{"trees": q}, 400, ""},
+		{"bad tenant", "a/b", map[string]any{"collection": "refs", "trees": q}, 400, ""},
+		{"long tenant", strings.Repeat("x", 65), map[string]any{"collection": "refs", "trees": q}, 400, ""},
+		{"no trees", "", map[string]any{"collection": "refs"}, 400, ""},
+		{"too many trees", "", map[string]any{"collection": "refs", "trees": newickStrings(trees[:3])}, 413, ""},
+		{"malformed json", "", `{"collection": refs`, 400, ""},
+		{"malformed newick", "", map[string]any{"collection": "refs", "trees": []string{"((a,b"}}, 400, ""},
+		{"trailing garbage", "", map[string]any{"collection": "refs", "trees": []string{q[0] + "((( garbage"}}, 400, "tree 0:"},
+		{"two trees in one string", "", map[string]any{"collection": "refs", "trees": []string{q[0], q[0] + q[0]}}, 400, "tree 1:"},
+		{"unknown variant", "", map[string]any{"collection": "refs", "variant": "rooted", "trees": q}, 400, ""},
+		{"info variant", "", map[string]any{"collection": "refs", "variant": "info", "trees": q}, 400, ""},
 	}
 	for _, c := range cases {
 		code, body, _ := postQuery(t, srv.URL, c.tenant, c.body)
-		if code != c.want {
-			t.Errorf("%s: status %d, want %d (body %s)", c.name, code, c.want, body)
+		if code != c.want || !strings.Contains(string(body), c.reason) {
+			t.Errorf("%s: status %d, want %d %q (body %s)", c.name, code, c.want, c.reason, body)
 		}
 	}
 
