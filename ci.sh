@@ -51,7 +51,7 @@ echo "== go test -race (distrib fault tolerance) =="
 # The failover, retry, and health-loop paths are the concurrency-heavy
 # new surface; run them explicitly under the race detector (not -short,
 # so nothing in them can quietly skip).
-go test -race -run 'Failover|PartialResults|Retry|Health|Adopt|LoadSeq|WorkerDies|Traced' \
+go test -race -run 'Failover|PartialResults|Retry|Health|Adopt|LoadSeq|WorkerDies|Traced|SplitWire|Protocol' \
   ./internal/distrib
 
 echo "== chaos smoke (seeded fault schedules under -race) =="
@@ -75,6 +75,7 @@ go test -run='^$' -fuzz=FuzzTable -fuzztime=10s ./internal/bfhtable
 go test -run='^$' -fuzz=FuzzSuccinct -fuzztime=10s ./internal/bfhtable
 go test -run='^$' -fuzz=FuzzFingerprint -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz=FuzzSnapshot -fuzztime=10s ./internal/bfhsnap
+go test -run='^$' -fuzz=FuzzWorkerQueryWords -fuzztime=10s ./internal/distrib
 
 echo "== bfhrfd admin endpoint smoke =="
 # Start a worker on ephemeral RPC+admin ports, scrape /healthz and

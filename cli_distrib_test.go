@@ -532,12 +532,12 @@ func TestCLIBfhrfdQueryCache(t *testing.T) {
 			t.Fatalf("cache-disabled coordinator: %v\n%s", err, stderr)
 		}
 
-		// The victim arms a deterministic crash: exit on its 600th tree
-		// parse. Its reference shard is ~30 parses and each scattered
-		// batch is ~130 more, so the crash lands several batches into the
-		// query phase — reliably after load, reliably before EOF.
+		// The victim arms a deterministic crash: exit on the 600th tree it
+		// folds or probes. Its reference shard is ~30 trees and each
+		// scattered batch is ~130 more, so the crash lands several batches
+		// into the query phase — reliably after load, reliably before EOF.
 		d1, _ := startWorkerProcess(t)
-		d2, _, victim := startWorkerProcessCmd(t, "BFHRF_FAULTS=parse.tree:crash@600")
+		d2, _, victim := startWorkerProcessCmd(t, "BFHRF_FAULTS=worker.tree:crash@600")
 		out, coordErr, err := run(t, "bfhrfd", "-workers", d1+","+d2,
 			"-ref", refs, "-query", mixed, "-chunk", "7")
 		if err != nil {

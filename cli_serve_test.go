@@ -429,11 +429,11 @@ func TestCLIServeCoordinatorChaos(t *testing.T) {
 	want := baselineAvgRF(t, base, len(qTrees))
 
 	// The 24 reference trees split into -chunk 7 chunks of 7/7/7/3, dealt
-	// round-robin: the victim (worker 1) parses chunks 1 and 3 — exactly
+	// round-robin: the victim (worker 1) folds chunks 1 and 3 — exactly
 	// 10 trees — at load. crash@13 therefore lands on the 3rd query tree
 	// of the first /v1/query scatter: after load, mid-request.
 	survivor, _ := startWorkerProcess(t)
-	victimAddr, _, victim := startWorkerProcessCmd(t, "BFHRF_FAULTS=parse.tree:crash@13")
+	victimAddr, _, victim := startWorkerProcessCmd(t, "BFHRF_FAULTS=worker.tree:crash@13")
 
 	p := startServeProc(t, nil,
 		"-workers", survivor+","+victimAddr, "-ref", refs, "-chunk", "7",

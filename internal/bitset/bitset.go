@@ -320,17 +320,25 @@ func EqualWords(a, b []uint64) bool {
 // match the width or bits are set beyond it — the same validation FromKey
 // applies to serialized keys.
 func FromWords(words []uint64, width int) (*Bits, error) {
+	v, err := View(words, width)
+	if err != nil {
+		return nil, err
+	}
+	return v.Clone(), nil
+}
+
+// View returns a width-bit vector over words without copying them — the
+// allocation-free way to treat received mask words as a vector. It
+// applies FromWords's validation. The vector aliases words: a change to
+// either shows in the other.
+func View(words []uint64, width int) (Bits, error) {
 	if len(words) != wordsFor(width) {
-		return nil, fmt.Errorf("bitset: %d words do not match width %d (want %d)", len(words), width, wordsFor(width))
+		return Bits{}, fmt.Errorf("bitset: %d words do not match width %d (want %d)", len(words), width, wordsFor(width))
 	}
-	b := New(width)
-	copy(b.words, words)
-	tail := b.Clone()
-	tail.maskTail()
-	if !tail.Equal(b) {
-		return nil, fmt.Errorf("bitset: words have bits beyond width %d", width)
+	if rem := width % wordBits; rem != 0 && words[len(words)-1]>>uint(rem) != 0 {
+		return Bits{}, fmt.Errorf("bitset: words have bits beyond width %d", width)
 	}
-	return b, nil
+	return Bits{words: words, width: width}, nil
 }
 
 // FromKey reconstructs a vector of the given width from a Key() string.

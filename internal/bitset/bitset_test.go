@@ -362,3 +362,32 @@ func TestHashWordNeverZeroAndSpreads(t *testing.T) {
 		t.Fatal("distinct words collapsed to the zero fixup")
 	}
 }
+
+func TestViewAliasesAndValidates(t *testing.T) {
+	words := []uint64{0b1010, 0b1}
+	v, err := View(words, 65)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Test(1) || !v.Test(64) || v.Count() != 3 {
+		t.Fatalf("view %s does not read the words", v.String())
+	}
+	words[0] |= 1
+	if !v.Test(0) {
+		t.Error("view copied the words instead of aliasing them")
+	}
+	if _, err := View(words, 64); err == nil {
+		t.Error("two words accepted for width 64")
+	}
+	if _, err := View([]uint64{0, 0b10}, 65); err == nil {
+		t.Error("bit beyond width 65 accepted")
+	}
+	c, err := FromWords(words, 65)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words[1] = 0
+	if !c.Test(64) {
+		t.Error("FromWords aliased the words instead of copying them")
+	}
+}

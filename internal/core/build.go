@@ -139,6 +139,33 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 	return h, nil
 }
 
+// BuildSplits builds the hash from reference trees already reduced to
+// their canonical split sets, one set per tree — a distributed shard's
+// build, whose coordinator extracts each tree once and ships only split
+// words (internal/distrib). The sets fold through Build's accumulator and
+// merge, into the table shard count Build picks for len(sets) trees. The
+// hash copies what it keeps, so the sets may be reused once BuildSplits
+// returns.
+func BuildSplits(sets [][]bipart.Bipartition, ts *taxa.Set, opts BuildOptions) (*FreqHash, error) {
+	if ts == nil {
+		return nil, fmt.Errorf("core: taxon catalogue is required")
+	}
+	if len(sets) == 0 {
+		return nil, fmt.Errorf("core: reference collection is empty")
+	}
+	_, span := obs.StartSpan(nil, SpanBuild)
+	defer span.End()
+	workers := EffectiveWorkers(opts.workers(), len(sets))
+	acc := newBuildAccum(opts.resolveBackendFor(ts.Len()), ts, opts.shardCount(workers))
+	for _, bs := range sets {
+		acc.add(bs)
+	}
+	h := &FreqHash{taxa: ts, weighted: true}
+	recordBuild(h, h.finishBuild([]*buildAccum{acc}))
+	annotateBuildSpan(span, h)
+	return h, nil
+}
+
 // wordsPerKey is the fixed word width of a canonical mask over ts.
 func wordsPerKey(ts *taxa.Set) int { return (ts.Len() + 63) / 64 }
 

@@ -21,6 +21,15 @@ func (h *FreqHash) AddTree(t *tree.Tree, filter bipart.Filter, requireComplete b
 	if err != nil {
 		return err
 	}
+	h.AddSplits(bs)
+	return nil
+}
+
+// AddSplits is AddTree for a tree already reduced to its canonical split
+// set — the fold a distributed shard runs on the split words its
+// coordinator ships (internal/distrib). The hash copies what it keeps,
+// so bs may be reused once AddSplits returns.
+func (h *FreqHash) AddSplits(bs []bipart.Bipartition) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, b := range bs {
@@ -39,7 +48,6 @@ func (h *FreqHash) AddTree(t *tree.Tree, filter bipart.Filter, requireComplete b
 	mRefTrees.Inc()
 	mBipartitionsHashed.Add(uint64(len(bs)))
 	mUniqueBipartitions.Set(float64(h.UniqueBipartitions()))
-	return nil
 }
 
 // RemoveTree subtracts a previously added reference tree (r decreases by

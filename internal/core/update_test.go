@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/bipart"
 	"repro/internal/collection"
 	"repro/internal/newick"
 	"repro/internal/tree"
@@ -130,4 +131,50 @@ func parseTrees(newicks []string) []*tree.Tree {
 		out[i] = newick.MustParse(s)
 	}
 	return out
+}
+
+// TestBuildSplitsMatchesBuild: a hash built (and grown) from pre-extracted
+// split sets — a distributed shard's path — is indistinguishable from one
+// built from the trees, on both engines.
+func TestBuildSplitsMatchesBuild(t *testing.T) {
+	trees, ts := randomCollection(131, 70, 40)
+	for _, b := range []Backend{BackendOpenAddressing, BackendSuccinct} {
+		opts := BuildOptions{RequireComplete: true, Backend: b}
+		full, err := Build(collection.FromTrees(trees), ts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := bipart.NewExtractor(ts)
+		sets := make([][]bipart.Bipartition, 25)
+		for i := range sets {
+			sets[i] = ex.MustExtract(trees[i])
+		}
+		h, err := BuildSplits(sets, ts, BuildOptions{Backend: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range trees[25:] {
+			h.AddSplits(ex.MustExtract(tr))
+		}
+		if h.Backend() != full.Backend() || h.Fingerprint() != full.Fingerprint() {
+			t.Fatalf("%s: backend %s fingerprint %x, built %s %x", b, h.Backend(), h.Fingerprint(), full.Backend(), full.Fingerprint())
+		}
+		src := collection.FromTrees(trees)
+		got, err := h.AverageRF(src, QueryOptions{RequireComplete: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.AverageRF(src, QueryOptions{RequireComplete: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s query %d: %v, built %v", b, i, got[i], want[i])
+			}
+		}
+	}
+	if _, err := BuildSplits(nil, ts, BuildOptions{}); err == nil {
+		t.Error("an empty split collection built a hash")
+	}
 }

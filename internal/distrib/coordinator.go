@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,11 +13,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bfhsnap"
 	"repro/internal/bipart"
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/newick"
 	"repro/internal/obs"
 	"repro/internal/taxa"
 )
@@ -93,6 +94,28 @@ type Coordinator struct {
 	// deduplicated so only distinct topologies go over the wire. Results
 	// from degraded (coverage < 1) batches are never cached.
 	Cache *core.QueryCache
+
+	// runs recycles the *runScratch of query runs, which serve issues
+	// concurrently.
+	runs sync.Pool
+}
+
+// runScratch is one query run's reusable state: the extractor that
+// reduces each query tree to splits once, and the wire batch.
+type runScratch struct {
+	ex    *bipart.Extractor
+	batch QueryArgs
+}
+
+// scratch takes a run's scratch from the pool, fresh when the pool is
+// empty or its extractor predates the current catalogue; put it back
+// once the run is done.
+func (c *Coordinator) scratch() *runScratch {
+	if sc, ok := c.runs.Get().(*runScratch); ok && sc.ex.Taxa == c.taxa {
+		sc.batch.Words, sc.batch.Ends = sc.batch.Words[:0], sc.batch.Ends[:0]
+		return sc
+	}
+	return &runScratch{ex: &bipart.Extractor{Taxa: c.taxa, RequireComplete: true, ReuseMasks: true}}
 }
 
 // Outcome is the result of one AverageRF run plus its fault-tolerance
@@ -391,6 +414,7 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 		TaxaNames:  ts.Names(),
 		Backend:    backend.String(),
 		HashShards: c.HashShards,
+		Protocol:   Protocol,
 	}
 	n := c.NumWorkers()
 	for i := 0; i < n; i++ {
@@ -402,23 +426,26 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 	if err := refs.Reset(); err != nil {
 		return err
 	}
-	chunk := make([]string, 0, c.chunkSize())
+	// Each reference tree is extracted once, here; workers fold the
+	// shipped splits with no parse and no extraction. The chunk copies
+	// the words, so the extractor can recycle its masks.
+	ex := &bipart.Extractor{Taxa: ts, RequireComplete: true, ReuseMasks: true}
+	var chunk LoadArgs
 	target := 0
-	var seq uint64
 	flush := func() error {
-		if len(chunk) == 0 {
+		if len(chunk.Ends) == 0 {
 			return nil
 		}
-		seq++
+		chunk.Seq++
 		var reply LoadReply
-		err := c.call(ctx, target, "Load", LoadArgs{Newicks: chunk, Seq: seq}, &reply)
-		if err != nil {
+		if err := c.call(ctx, target, "Load", chunk, &reply); err != nil {
 			return fmt.Errorf("distrib: load worker %d: %w", target, err)
 		}
 		slog.Debug("chunk distributed", "worker", c.slot(target).addr,
-			"chunk", len(chunk), "shard_trees", reply.ShardTrees, "shard_unique", reply.ShardUnique)
+			"chunk", len(chunk.Ends), "shard_trees", reply.ShardTrees, "shard_unique", reply.ShardUnique)
 		target = (target + 1) % n
-		chunk = chunk[:0]
+		chunk.Words, chunk.Ends = chunk.Words[:0], chunk.Ends[:0]
+		chunk.Lengths, chunk.HasLength = chunk.Lengths[:0], chunk.HasLength[:0]
 		return nil
 	}
 	total := 0
@@ -430,9 +457,13 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 		if err != nil {
 			return err
 		}
-		chunk = append(chunk, newick.String(t, newick.WriteOptions{BranchLengths: true}))
+		bs, err := ex.Extract(t)
+		if err != nil {
+			return fmt.Errorf("distrib: reference tree %d: %w", total, err)
+		}
+		chunk.add(bs)
 		total++
-		if len(chunk) >= c.chunkSize() {
+		if len(chunk.Ends) >= c.chunkSize() {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -444,17 +475,8 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 	if total == 0 {
 		return fmt.Errorf("distrib: reference collection is empty")
 	}
-	// Fold global totals with an empty probe query, and remember each
-	// shard's size — the denominator of the coverage arithmetic.
-	c.sum, c.r = 0, 0
-	for i := 0; i < n; i++ {
-		var reply QueryReply
-		if err := c.call(ctx, i, "Query", QueryArgs{}, &reply); err != nil {
-			return fmt.Errorf("distrib: probing worker %d: %w", i, err)
-		}
-		c.sum += reply.ShardSum
-		c.r += reply.ShardTrees
-		c.slot(i).trees = reply.ShardTrees
+	if err := c.probeTotals(ctx); err != nil {
+		return err
 	}
 	if c.r != total {
 		return fmt.Errorf("distrib: workers report %d trees, loaded %d", c.r, total)
@@ -464,6 +486,31 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 		return err
 	}
 	slog.Info("references loaded", "trees", total, "workers", n, "sum", c.sum)
+	return nil
+}
+
+// probeTotals folds the global totals with an empty query on every
+// worker and remembers each shard's size — the denominator of the
+// coverage arithmetic. It doubles as the protocol check: a worker whose
+// reply carries another wire version is refused by name, before any
+// query could be answered wrongly.
+func (c *Coordinator) probeTotals(ctx context.Context) error {
+	c.sum, c.r = 0, 0
+	for i := 0; i < c.NumWorkers(); i++ {
+		var reply QueryReply
+		if err := c.call(ctx, i, "Query", QueryArgs{}, &reply); err != nil {
+			return fmt.Errorf("distrib: probing worker %d: %w", i, err)
+		}
+		s := c.slot(i)
+		if reply.Protocol != Protocol {
+			protocolErrors(s.addr).Inc()
+			return fmt.Errorf("distrib: worker %d (%s) speaks wire protocol %d, coordinator %d",
+				i, s.addr, reply.Protocol, Protocol)
+		}
+		c.sum += reply.ShardSum
+		c.r += reply.ShardTrees
+		s.trees = reply.ShardTrees
+	}
 	return nil
 }
 
@@ -597,7 +644,7 @@ func (c *Coordinator) AverageRFContext(ctx context.Context, queries collection.S
 // on. Each result's Index is its position in the query collection, so a
 // run that skips trees still reports stable indexes.
 func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Source, run QueryRunOptions) (*Outcome, error) {
-	if c.r == 0 {
+	if c.r == 0 || c.taxa == nil {
 		return nil, fmt.Errorf("distrib: Load before Query")
 	}
 	// The root span rides the run's context, so cancellation and trace
@@ -620,21 +667,21 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 		}
 		out.Results = append(out.Results, r)
 	}
-	// The coordinator-side cache fingerprints each query tree before it is
-	// serialized for the wire; extraction failures fall through to the
-	// workers uncached, so worker-side errors stay authoritative.
-	var ex *bipart.Extractor
-	if c.Cache != nil {
-		ex = &bipart.Extractor{Taxa: c.taxa, RequireComplete: true, ReuseMasks: true}
-	}
-	// A batch ships only distinct topologies: uniq/uniqKey are the wire
-	// batch, and each pending query records which uniq slot answers it.
-	uniq := make([]string, 0, c.batchSize())
-	uniqKey := make([]pendingKey, 0, c.batchSize())
+	// Each query tree is extracted once, here: the splits go on the wire
+	// and, with the cache on, into the topology fingerprint. The batch
+	// copies the words, so the extractor can recycle its masks. A tree
+	// the catalogue cannot take is the caller's input error.
+	sc := c.scratch()
+	defer c.runs.Put(sc)
+	ex, batch := sc.ex, &sc.batch
+	// With the cache on, a batch ships only distinct topologies: batch
+	// holds them and uniqKey their fingerprints, and each pending query
+	// records which batch slot answers it.
+	uniqKey := make([]core.TopoKey, 0, c.batchSize())
 	uniqAt := make(map[core.TopoKey]int, c.batchSize())
 	type pendingQuery struct {
 		orig int
-		pos  int // index into uniq
+		pos  int // index into the batch
 	}
 	pend := make([]pendingQuery, 0, c.batchSize())
 	idx := 0
@@ -647,13 +694,13 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 		}
 	}()
 	flush := func() error {
-		if len(uniq) == 0 {
+		if len(batch.Ends) == 0 {
 			return nil
 		}
 		bctx, bspan := obs.StartSpan(ctx, "coord.query.batch")
-		bspan.SetAttr("batch", len(uniq))
+		bspan.SetAttr("batch", len(batch.Ends))
 		bspan.SetAttr("pending", len(pend))
-		avgs, coverage, err := c.queryBatch(bctx, uniq, out)
+		avgs, coverage, err := c.queryBatch(bctx, batch, out)
 		bspan.SetAttr("coverage", coverage)
 		bspan.End()
 		if err != nil {
@@ -664,12 +711,10 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 		}
 		if c.Cache != nil && coverage >= 1 {
 			for u, k := range uniqKey {
-				if k.ok {
-					c.Cache.Put(k.key, core.Plain, avgs[u])
-				}
+				c.Cache.Put(k, core.Plain, avgs[u])
 			}
 		}
-		uniq = uniq[:0]
+		batch.Words, batch.Ends = batch.Words[:0], batch.Ends[:0]
 		uniqKey = uniqKey[:0]
 		clear(uniqAt)
 		pend = pend[:0]
@@ -695,39 +740,40 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 			idx++
 			continue
 		}
-		key := pendingKey{}
-		if ex != nil {
-			if bs, exErr := ex.Extract(t); exErr == nil {
-				key = pendingKey{key: core.TopologyFingerprint(bs), ok: true}
-			}
+		bs, err := ex.Extract(t)
+		if err != nil {
+			return nil, &InputError{Index: idx, Err: err}
 		}
 		u := -1
-		if key.ok {
-			if avg, hit := c.Cache.Get(key.key, core.Plain); hit {
+		var key core.TopoKey
+		if c.Cache != nil {
+			key = core.TopologyFingerprint(bs)
+			if avg, hit := c.Cache.Get(key, core.Plain); hit {
 				cacheHits++
 				emit(core.Result{Index: idx, AvgRF: avg})
 				idx++
 				continue
 			}
-			if at, dup := uniqAt[key.key]; dup {
+			if at, dup := uniqAt[key]; dup {
 				u = at
 			}
 		}
 		if u < 0 {
-			u = len(uniq)
-			uniq = append(uniq, newick.String(t, newick.WriteOptions{BranchLengths: true}))
-			uniqKey = append(uniqKey, key)
-			if key.ok {
-				uniqAt[key.key] = u
+			u = len(batch.Ends)
+			batch.add(bs)
+			if c.Cache != nil {
+				uniqKey = append(uniqKey, key)
+				uniqAt[key] = u
 			}
 		}
 		pend = append(pend, pendingQuery{orig: idx, pos: u})
 		idx++
 		// The batch fills by pending queries, not distinct topologies
-		// (len(uniq) never exceeds len(pend)): a repeat-heavy stream that
-		// batched by uniq alone would never flush, withholding every cache
-		// insert — and so every hit — until EOF. Duplicate appends count
-		// too, which is why the dup branch above falls through to here.
+		// (the batch never outgrows pend): a repeat-heavy stream that
+		// batched by distinct topologies alone would never flush,
+		// withholding every cache insert — and so every hit — until EOF.
+		// Duplicate appends count too, which is why the dup branch above
+		// falls through to here.
 		if len(pend) >= c.batchSize() {
 			if err := flush(); err != nil {
 				return nil, err
@@ -745,13 +791,20 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 	return out, nil
 }
 
-// pendingKey is a query tree's coordinator-side fingerprint; ok is false
-// when the cache is off or local extraction failed (the tree then goes to
-// the workers unconditionally, so their error reporting stays canonical).
-type pendingKey struct {
-	key core.TopoKey
-	ok  bool
+// InputError reports a query tree the coordinator cannot reduce to splits
+// over the loaded catalogue — an unknown or duplicate taxon, or a tree
+// that does not cover the catalogue. It is the caller's input, not a
+// worker or transport fault (serve answers it with 400).
+type InputError struct {
+	// Index is the tree's position in the query collection.
+	Index int
+	Err   error
 }
+
+func (e *InputError) Error() string { return fmt.Sprintf("distrib: query tree %d: %v", e.Index, e.Err) }
+
+// Unwrap exposes the extraction error for errors.Is/As.
+func (e *InputError) Unwrap() error { return e.Err }
 
 // deadAddrs lists workers currently declared dead.
 func (c *Coordinator) deadAddrs() []string {
@@ -787,7 +840,7 @@ func diffAddrs(now, before []string) []string {
 // its shard is re-dispatched from the checkpoint and the batch is retried
 // on the new topology. With PartialResults the batch instead folds
 // whatever answered and records the coverage.
-func (c *Coordinator) queryBatch(ctx context.Context, newicks []string, out *Outcome) ([]float64, float64, error) {
+func (c *Coordinator) queryBatch(ctx context.Context, batch *QueryArgs, out *Outcome) ([]float64, float64, error) {
 	for round := 0; ; round++ {
 		if round > c.NumWorkers() {
 			return nil, 0, fmt.Errorf("distrib: failover did not converge after %d rounds", round)
@@ -816,7 +869,8 @@ func (c *Coordinator) queryBatch(ctx context.Context, newicks []string, out *Out
 				// in, and they come back in the reply.
 				qctx, qspan := obs.StartSpan(ctx, "rpc.query")
 				qspan.SetAttr("worker", c.slot(i).addr)
-				args := QueryArgs{Newicks: newicks, Trace: toTraceContext(obs.SpanContextFrom(qctx))}
+				args := *batch
+				args.Trace = toTraceContext(obs.SpanContextFrom(qctx))
 				parts[k].err = c.call(qctx, i, "Query", args, &parts[k].reply)
 				if parts[k].err != nil {
 					qspan.SetAttr("error", parts[k].err.Error())
@@ -861,7 +915,7 @@ func (c *Coordinator) queryBatch(ctx context.Context, newicks []string, out *Out
 		if lost && !c.PartialResults {
 			continue // re-dispatch orphans and retry the batch
 		}
-		avgs, coverage, err := c.fold(newicks, answered)
+		avgs, coverage, err := c.fold(batch.Ends, answered)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -885,40 +939,25 @@ type queryPart struct {
 	err   error
 }
 
-// fold combines the answered partial sums into per-query averages. The
-// totals are derived from the replies themselves (Σ ShardSum, Σ
-// ShardTrees), so the same arithmetic serves full and degraded batches:
-// coverage is the answered tree count over the loaded total.
-func (c *Coordinator) fold(newicks []string, answered []queryPart) ([]float64, float64, error) {
-	hits := make([]int64, len(newicks))
-	splits := make([]int64, len(newicks))
-	haveSplits := false
+// fold combines the answered partial sums into per-query averages; ends
+// are the batch's word offsets, which fix each query's split count
+// |B(query)|. The totals are derived from the replies themselves (Σ
+// ShardSum, Σ ShardTrees), so the same arithmetic serves full and
+// degraded batches: coverage is the answered tree count over the loaded
+// total.
+func (c *Coordinator) fold(ends []int, answered []queryPart) ([]float64, float64, error) {
+	hits := make([]int64, len(ends))
 	var sumAns uint64
 	rAns := 0
 	for _, p := range answered {
 		rep := p.reply
 		addr := c.slot(p.idx).addr
-		if len(rep.Hits) != len(newicks) {
+		if len(rep.Hits) != len(ends) {
 			protocolErrors(addr).Inc()
-			return nil, 0, fmt.Errorf("distrib: worker %d returned %d hits for %d queries", p.idx, len(rep.Hits), len(newicks))
-		}
-		if len(rep.Splits) != len(newicks) {
-			protocolErrors(addr).Inc()
-			return nil, 0, fmt.Errorf("distrib: worker %d returned %d split counts for %d queries", p.idx, len(rep.Splits), len(newicks))
+			return nil, 0, fmt.Errorf("distrib: worker %d returned %d hits for %d queries", p.idx, len(rep.Hits), len(ends))
 		}
 		for j := range hits {
 			hits[j] += rep.Hits[j]
-		}
-		if !haveSplits {
-			copy(splits, rep.Splits)
-			haveSplits = true
-		} else {
-			for j := range splits {
-				if splits[j] != rep.Splits[j] {
-					protocolErrors(addr).Inc()
-					return nil, 0, fmt.Errorf("distrib: workers disagree on |B(query %d)|: %d vs %d", j, splits[j], rep.Splits[j])
-				}
-			}
 		}
 		sumAns += rep.ShardSum
 		rAns += rep.ShardTrees
@@ -926,11 +965,15 @@ func (c *Coordinator) fold(newicks []string, answered []queryPart) ([]float64, f
 	if rAns == 0 {
 		return nil, 0, fmt.Errorf("distrib: no reference shards answered")
 	}
-	out := make([]float64, len(newicks))
+	out := make([]float64, len(ends))
 	rf := float64(rAns)
-	for j := range out {
+	nw := (c.taxa.Len() + 63) / 64
+	prev := 0
+	for j, e := range ends {
+		splits := int64((e - prev) / nw)
+		prev = e
 		left := int64(sumAns) - hits[j]
-		right := splits[j]*int64(rAns) - hits[j]
+		right := splits*int64(rAns) - hits[j]
 		out[j] = float64(left+right) / rf
 	}
 	return out, float64(rAns) / float64(c.r), nil
@@ -1022,14 +1065,25 @@ func (c *Coordinator) SnapshotWorker(i int) ([]byte, error) {
 }
 
 // RestoreWorker installs a snapshot on worker i, replacing its shard.
+// The coordinator adopts the snapshot's taxon catalogue, which it needs
+// to extract query trees.
 func (c *Coordinator) RestoreWorker(i int, data []byte) error {
 	if i < 0 || i >= c.NumWorkers() {
 		return fmt.Errorf("distrib: no worker %d", i)
+	}
+	hdr, err := bfhsnap.ReadHeader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return fmt.Errorf("distrib: restore worker %d: %w", i, err)
+	}
+	ts, err := taxa.NewOrderedSet(hdr.TaxaNames)
+	if err != nil {
+		return fmt.Errorf("distrib: restore worker %d catalogue: %w", i, err)
 	}
 	var reply LoadReply
 	if err := c.call(context.Background(), i, "Restore", RestoreArgs{Data: data}, &reply); err != nil {
 		return fmt.Errorf("distrib: restore worker %d: %w", i, err)
 	}
+	c.taxa = ts
 	slog.Debug("worker restored", "worker", c.slot(i).addr,
 		"shard_trees", reply.ShardTrees, "shard_unique", reply.ShardUnique)
 	return nil

@@ -12,9 +12,16 @@
 //	RFright = |B(T')|·r − hits
 //	avgRF(T') = (RFleft + RFright) / r
 //
-// Only O(1) scalars per (query, worker) cross the wire — the communication
-// pattern that makes the approach scale. Transport is net/rpc over TCP
-// (or any net.Listener), standard library only.
+// Only O(1) scalars per (query, worker) come back — the communication
+// pattern that makes the approach scale. Trees travel out as their
+// canonical split words, never as Newick: the coordinator extracts each
+// tree once (bipart.Extractor) and ships a flat []uint64 of masks plus
+// one end offset per tree; a worker validates the words
+// (bipart.WordsView) and probes them directly, with no parse and no
+// extraction. Reference chunks carry each split's branch length too.
+// FORMATS.md ("RPC wire") specifies the layout and the Protocol check.
+// Transport is net/rpc over TCP (or any net.Listener), standard library
+// only.
 //
 // The layer is fault tolerant: coordinator RPCs carry per-call deadlines,
 // transient failures (dial errors, timeouts, severed connections) are
@@ -37,15 +44,21 @@ import (
 	"sync"
 
 	"repro/internal/bipart"
-	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/newick"
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/taxa"
-	"repro/internal/tree"
 )
 
 // ---- wire types ------------------------------------------------------------
+
+// Protocol is the RPC wire version this package speaks. InitArgs carry
+// the coordinator's, a worker refuses any other, and every QueryReply
+// echoes the worker's, so the coordinator's post-load probe refuses a
+// worker that speaks another version. A worker built before versioning
+// answers 0: it would silently drop the split words and report zero
+// splits, a wrong answer rather than an error.
+const Protocol = 1
 
 // InitArgs announce the shared taxon catalogue to a worker.
 type InitArgs struct {
@@ -58,12 +71,20 @@ type InitArgs struct {
 	// HashShards overrides the hash table's internal shard count
 	// (0 = default).
 	HashShards int
+	// Protocol is the coordinator's wire version (see Protocol).
+	Protocol int
 }
 
-// LoadArgs carry a chunk of reference trees to a worker's shard.
+// LoadArgs carry a chunk of reference trees to a worker's shard in the
+// split-word layout of QueryArgs, plus every split's branch length.
 type LoadArgs struct {
-	// Newicks are serialized reference trees.
-	Newicks []string
+	// Words and Ends hold the chunk's splits, laid out as in QueryArgs.
+	Words []uint64
+	Ends  []int
+	// Lengths[j] is split j's branch length (in chunk order); bit j%64 of
+	// HasLength[j/64] reports whether split j has one.
+	Lengths   []float64
+	HasLength []uint64
 	// Seq is the coordinator's chunk sequence number (1-based,
 	// monotonically increasing across the load). It makes Load idempotent
 	// under retry: a worker that already folded chunk Seq answers its
@@ -112,21 +133,47 @@ func (tc TraceContext) spanContext() obs.SpanContext {
 	}
 }
 
-// QueryArgs carry a batch of query trees.
+// add appends one reference tree's splits to the chunk.
+func (a *LoadArgs) add(bs []bipart.Bipartition) {
+	for _, b := range bs {
+		j := len(a.Lengths)
+		if j%64 == 0 {
+			a.HasLength = append(a.HasLength, 0)
+		}
+		if b.HasLength {
+			a.HasLength[j/64] |= 1 << (j % 64)
+		}
+		a.Lengths = append(a.Lengths, b.Length)
+	}
+	a.Words = bipart.AppendWords(a.Words, bs)
+	a.Ends = append(a.Ends, len(a.Words))
+}
+
+// QueryArgs carry a batch of query trees as their canonical split words:
+// query i's splits are Words[Ends[i-1]:Ends[i]] (with Ends[-1] = 0), each
+// split ⌈n/64⌉ little-endian words over the n-taxon catalogue, in the
+// form bipart.WordsView accepts. The zero value is the empty batch, the
+// post-load totals probe.
 type QueryArgs struct {
-	Newicks []string
+	Words []uint64
+	Ends  []int
 	// Trace carries the coordinator's trace context so worker spans stitch
 	// into the caller's trace (zero = untraced).
 	Trace TraceContext
 }
 
+// add appends one query tree's splits to the batch.
+func (a *QueryArgs) add(bs []bipart.Bipartition) {
+	a.Words = bipart.AppendWords(a.Words, bs)
+	a.Ends = append(a.Ends, len(a.Words))
+}
+
 // QueryReply carries per-query partial sums.
 type QueryReply struct {
+	// Protocol is the worker's wire version (see Protocol).
+	Protocol int
 	// Hits[i] = Σ_{b'∈B(query_i)} freq_shard[b'].
 	Hits []int64
-	// Splits[i] = |B(query_i)| (identical across workers; used for the
-	// RFright term and cross-checked by the coordinator).
-	Splits []int64
 	// ShardSum and ShardTrees fold into the global sum and r.
 	ShardSum   uint64
 	ShardTrees int
@@ -151,6 +198,18 @@ type Worker struct {
 	// adopted records shard IDs merged in by failover, so a retried Adopt
 	// cannot double-count an orphaned shard.
 	adopted map[int]bool
+	// views recycles the *bipart.WordsView scratch of Load and Query
+	// calls, which net/rpc runs concurrently.
+	views sync.Pool
+}
+
+// view takes a split view from the worker's pool; put it back once
+// nothing uses the splits it returned.
+func (w *Worker) view() *bipart.WordsView {
+	if v, ok := w.views.Get().(*bipart.WordsView); ok {
+		return v
+	}
+	return new(bipart.WordsView)
 }
 
 // WorkerStatus is a consistent snapshot of a worker's shard, exposed for
@@ -183,6 +242,9 @@ func (w *Worker) Init(args InitArgs, reply *LoadReply) error {
 }
 
 func (w *Worker) init(args InitArgs, reply *LoadReply) error {
+	if args.Protocol != Protocol {
+		return fmt.Errorf("distrib: coordinator speaks wire protocol %d, this worker %d", args.Protocol, Protocol)
+	}
 	ts, err := taxa.NewOrderedSet(args.TaxaNames)
 	if err != nil {
 		return fmt.Errorf("distrib: %w", err)
@@ -227,25 +289,35 @@ func (w *Worker) load(args LoadArgs, reply *LoadReply) error {
 		slog.Debug("duplicate chunk ignored", "seq", args.Seq, "last_seq", w.lastSeq)
 		return nil
 	}
-	trees, err := parseChunk(args.Newicks)
+	view := w.view()
+	defer w.views.Put(view)
+	bs, sets, err := decodeSplits(view, args.Words, args.Ends, w.taxa.Len())
 	if err != nil {
+		return fmt.Errorf("distrib: reference chunk: %w", err)
+	}
+	if len(args.Lengths) != len(bs) || len(args.HasLength) != (len(bs)+63)/64 {
+		return fmt.Errorf("distrib: reference chunk: %d lengths and %d presence words for %d splits",
+			len(args.Lengths), len(args.HasLength), len(bs))
+	}
+	for j := range bs {
+		bs[j].Length = args.Lengths[j]
+		bs[j].HasLength = args.HasLength[j/64]>>(j%64)&1 != 0
+	}
+	if err := hitTrees(len(sets)); err != nil {
 		return err
 	}
 	if w.hash == nil {
-		h, err := core.Build(collection.FromTrees(trees), w.taxa, core.BuildOptions{
-			RequireComplete: true,
-			Backend:         w.backend,
-			HashShards:      w.hashShards,
+		h, err := core.BuildSplits(sets, w.taxa, core.BuildOptions{
+			Backend:    w.backend,
+			HashShards: w.hashShards,
 		})
 		if err != nil {
 			return err
 		}
 		w.hash = h
 	} else {
-		for _, t := range trees {
-			if err := w.hash.AddTree(t, nil, true); err != nil {
-				return err
-			}
+		for _, set := range sets {
+			w.hash.AddSplits(set)
 		}
 	}
 	if args.Seq != 0 {
@@ -254,7 +326,7 @@ func (w *Worker) load(args LoadArgs, reply *LoadReply) error {
 	reply.ShardTrees = w.hash.NumTrees()
 	reply.ShardUnique = w.hash.UniqueBipartitions()
 	slog.Debug("shard chunk loaded",
-		"chunk", len(args.Newicks), "shard_trees", reply.ShardTrees, "shard_unique", reply.ShardUnique)
+		"chunk", len(sets), "shard_trees", reply.ShardTrees, "shard_unique", reply.ShardUnique)
 	return nil
 }
 
@@ -298,57 +370,89 @@ func (w *Worker) queryShard(span *obs.Span, args QueryArgs, reply *QueryReply) e
 	if ts == nil {
 		return fmt.Errorf("distrib: worker not initialized")
 	}
-	// The hash copies what it keeps, so the extractor can recycle masks,
-	// and the prober probes with no per-lookup key allocation.
-	ex := bipart.NewExtractor(ts)
-	ex.ReuseMasks = true
-	var p *core.Prober
-	if h != nil {
-		p = h.NewProber()
+	// The splits alias the received words, and the prober probes them
+	// with no per-lookup key allocation.
+	view := w.view()
+	defer w.views.Put(view)
+	_, sets, err := decodeSplits(view, args.Words, args.Ends, ts.Len())
+	if err != nil {
+		return fmt.Errorf("distrib: query batch: %w", err)
 	}
-	reply.Hits = make([]int64, len(args.Newicks))
-	reply.Splits = make([]int64, len(args.Newicks))
+	if err := hitTrees(len(sets)); err != nil {
+		return err
+	}
+	reply.Protocol = Protocol
+	reply.Hits = make([]int64, len(sets))
 	lookups, misses := 0, 0
-	for i, nwk := range args.Newicks {
-		bs, err := ex.ExtractNewick(nwk)
-		if err != nil {
-			return fmt.Errorf("distrib: query %d: %w", i, err)
-		}
-		if p != nil {
+	if h != nil {
+		p := h.NewProber()
+		for i, bs := range sets {
 			hits, m := p.Hits(bs)
 			reply.Hits[i] = hits
 			lookups += len(bs)
 			misses += m
 		}
-		reply.Splits[i] = int64(len(bs))
 	}
 	if h != nil {
 		reply.ShardSum = h.TotalBipartitions()
 		reply.ShardTrees = h.NumTrees()
 	}
 	if span.Recorded() {
-		span.SetAttr("queries", len(args.Newicks))
+		span.SetAttr("queries", len(sets))
 		span.SetAttr("lookups", lookups)
 		span.SetAttr("misses", misses)
 		span.SetAttr("shard_trees", reply.ShardTrees)
 	}
 	// The shard answers queries outside core.AverageRF, so it feeds the
 	// same core counters (bfhrf_queries_total et al.) itself.
-	core.RecordQueries(len(args.Newicks), lookups, misses)
+	core.RecordQueries(len(sets), lookups, misses)
 	return nil
 }
 
-// parseChunk parses serialized trees, failing fast on the first error.
-func parseChunk(newicks []string) ([]*tree.Tree, error) {
-	out := make([]*tree.Tree, len(newicks))
-	for i, nwk := range newicks {
-		t, err := newick.Parse(nwk)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: reference tree %d: %w", i, err)
+// decodeSplits validates a chunk or batch in the split-word layout of
+// QueryArgs against an n-taxon catalogue — end offsets that never
+// decrease, stay inside words, cut whole splits and cover every word;
+// every split canonical and non-trivial — and returns its splits, all
+// of them and then one set per tree, aliasing words through v.
+func decodeSplits(v *bipart.WordsView, words []uint64, ends []int, n int) ([]bipart.Bipartition, [][]bipart.Bipartition, error) {
+	// An empty catalogue has no splits: View refuses any word, so one
+	// word per split suffices to check its offsets.
+	nw := max(1, (n+63)/64)
+	prev := 0
+	for i, e := range ends {
+		switch {
+		case e < prev || e > len(words):
+			return nil, nil, fmt.Errorf("tree %d: end offset %d outside [%d, %d]", i, e, prev, len(words))
+		case (e-prev)%nw != 0:
+			return nil, nil, fmt.Errorf("tree %d: %d words are not whole %d-word splits", i, e-prev, nw)
 		}
-		out[i] = t
+		prev = e
 	}
-	return out, nil
+	if prev != len(words) {
+		return nil, nil, fmt.Errorf("%d words past the last tree", len(words)-prev)
+	}
+	bs, err := v.View(words, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	sets := make([][]bipart.Bipartition, len(ends))
+	prev = 0
+	for i, e := range ends {
+		sets[i] = bs[prev/nw : e/nw]
+		prev = e
+	}
+	return bs, sets, nil
+}
+
+// hitTrees fires the worker.tree fault point once per tree a worker is
+// about to fold or probe, before any of them touches the shard.
+func hitTrees(trees int) error {
+	for i := 0; i < trees; i++ {
+		if err := faultinject.Hit(faultinject.PointWorkerTree); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---- serving ---------------------------------------------------------------

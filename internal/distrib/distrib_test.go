@@ -14,7 +14,7 @@ import (
 )
 
 // startWorkers launches k workers on ephemeral localhost ports.
-func startWorkers(t *testing.T, k int) []string {
+func startWorkers(t testing.TB, k int) []string {
 	t.Helper()
 	addrs := make([]string, k)
 	for i := 0; i < k; i++ {
@@ -174,20 +174,29 @@ func TestErrors(t *testing.T) {
 func TestWorkerDirectErrors(t *testing.T) {
 	w := &Worker{}
 	var lr LoadReply
-	if err := w.Load(LoadArgs{Newicks: []string{"(A,B,(C,D));"}}, &lr); err == nil {
+	// AB|CD over {A,B,C,D}: bit 0 (A) on the 0 side.
+	split := []uint64{0b1100}
+	if err := w.Load(LoadArgs{Words: split, Ends: []int{1}, Lengths: []float64{0}, HasLength: []uint64{0}}, &lr); err == nil {
 		t.Error("Load before Init should fail")
 	}
 	var qr QueryReply
-	if err := w.Query(QueryArgs{Newicks: []string{"(A,B,(C,D));"}}, &qr); err == nil {
+	if err := w.Query(QueryArgs{Words: split, Ends: []int{1}}, &qr); err == nil {
 		t.Error("Query before Load should fail")
 	}
-	if err := w.Init(InitArgs{TaxaNames: []string{"A", "B", "C", "D"}}, &lr); err != nil {
+	if err := w.Init(InitArgs{TaxaNames: []string{"A", "B", "C", "D"}}, &lr); err == nil {
+		t.Error("Init without the coordinator's protocol should fail")
+	}
+	if err := w.Init(InitArgs{TaxaNames: []string{"A", "B", "C", "D"}, Protocol: Protocol}, &lr); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Load(LoadArgs{Newicks: []string{"(((garbage"}}, &lr); err == nil {
-		t.Error("malformed reference should fail")
+	// The complement orientation puts the anchor taxon A on the 1 side.
+	if err := w.Load(LoadArgs{Words: []uint64{0b0011}, Ends: []int{1}, Lengths: []float64{0}, HasLength: []uint64{0}}, &lr); err == nil {
+		t.Error("non-canonical reference split should fail")
 	}
-	if err := w.Init(InitArgs{TaxaNames: []string{"A", "A"}}, &lr); err == nil {
+	if err := w.Load(LoadArgs{Words: split, Ends: []int{1}}, &lr); err == nil {
+		t.Error("reference chunk without lengths should fail")
+	}
+	if err := w.Init(InitArgs{TaxaNames: []string{"A", "A"}, Protocol: Protocol}, &lr); err == nil {
 		t.Error("duplicate taxa should fail")
 	}
 }

@@ -11,9 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bipart"
 	"repro/internal/collection"
 	"repro/internal/core"
-	"repro/internal/newick"
+	"repro/internal/taxa"
 	"repro/internal/tree"
 )
 
@@ -22,12 +23,19 @@ import (
 // re-dispatch in fail-fast mode and (b) a coverage-annotated partial
 // result in -partial-results mode — and never a hang.
 
-func serialize(trees []*tree.Tree) []string {
-	out := make([]string, len(trees))
-	for i, t := range trees {
-		out[i] = newick.String(t, newick.WriteOptions{BranchLengths: true})
+// chunkOf encodes trees as one Load chunk, as the coordinator does.
+func chunkOf(t *testing.T, ts *taxa.Set, trees []*tree.Tree, seq uint64) LoadArgs {
+	t.Helper()
+	ex := bipart.NewExtractor(ts)
+	args := LoadArgs{Seq: seq}
+	for _, tr := range trees {
+		bs, err := ex.Extract(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args.add(bs)
 	}
-	return out
+	return args
 }
 
 // TestFailoverFullResultAfterWorkerDeath kills one of two workers between
@@ -426,10 +434,10 @@ func TestAdoptIdempotent(t *testing.T) {
 	trees, ts := testCollection(59, 12, 20)
 	w := &Worker{}
 	var lr LoadReply
-	if err := w.Init(InitArgs{TaxaNames: ts.Names()}, &lr); err != nil {
+	if err := w.Init(InitArgs{TaxaNames: ts.Names(), Protocol: Protocol}, &lr); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Load(LoadArgs{Newicks: serialize(trees[:10]), Seq: 1}, &lr); err != nil {
+	if err := w.Load(chunkOf(t, ts, trees[:10], 1), &lr); err != nil {
 		t.Fatal(err)
 	}
 	orphan, err := core.Build(collection.FromTrees(trees[10:]), ts, core.BuildOptions{RequireComplete: true})
@@ -460,22 +468,22 @@ func TestLoadSeqIdempotent(t *testing.T) {
 	trees, ts := testCollection(61, 10, 10)
 	w := &Worker{}
 	var lr LoadReply
-	if err := w.Init(InitArgs{TaxaNames: ts.Names()}, &lr); err != nil {
+	if err := w.Init(InitArgs{TaxaNames: ts.Names(), Protocol: Protocol}, &lr); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Load(LoadArgs{Newicks: serialize(trees[:5]), Seq: 1}, &lr); err != nil {
+	if err := w.Load(chunkOf(t, ts, trees[:5], 1), &lr); err != nil {
 		t.Fatal(err)
 	}
 	if lr.ShardTrees != 5 {
 		t.Fatalf("shard holds %d trees, want 5", lr.ShardTrees)
 	}
-	if err := w.Load(LoadArgs{Newicks: serialize(trees[:5]), Seq: 1}, &lr); err != nil {
+	if err := w.Load(chunkOf(t, ts, trees[:5], 1), &lr); err != nil {
 		t.Fatal(err)
 	}
 	if lr.ShardTrees != 5 {
 		t.Errorf("duplicate chunk double-counted: %d trees, want 5", lr.ShardTrees)
 	}
-	if err := w.Load(LoadArgs{Newicks: serialize(trees[5:]), Seq: 2}, &lr); err != nil {
+	if err := w.Load(chunkOf(t, ts, trees[5:], 2), &lr); err != nil {
 		t.Fatal(err)
 	}
 	if lr.ShardTrees != 10 {

@@ -205,7 +205,7 @@ func (s *malformedService) Init(args InitArgs, reply *LoadReply) error {
 func (s *malformedService) Load(args LoadArgs, reply *LoadReply) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.trees += len(args.Newicks)
+	s.trees += len(args.Ends)
 	reply.ShardTrees = s.trees
 	reply.ShardUnique = 1
 	return nil
@@ -215,15 +215,15 @@ func (s *malformedService) Query(args QueryArgs, reply *QueryReply) error {
 	s.mu.Lock()
 	trees := s.trees
 	s.mu.Unlock()
-	if len(args.Newicks) == 0 {
+	reply.Protocol = Protocol
+	if len(args.Ends) == 0 {
 		// Behave during the Load-phase probe so the failure surfaces in
 		// the query phase.
 		reply.ShardSum = 1
 		reply.ShardTrees = trees
 		return nil
 	}
-	reply.Hits = make([]int64, len(args.Newicks)+1) // wrong length
-	reply.Splits = make([]int64, len(args.Newicks)+1)
+	reply.Hits = make([]int64, len(args.Ends)+1) // wrong length
 	reply.ShardSum = 1
 	reply.ShardTrees = trees
 	return nil

@@ -364,15 +364,8 @@ func (c *Coordinator) LoadSnapshotContext(ctx context.Context, dir string) error
 		}
 	}
 	// Re-fold global totals from the restored cluster, as Load does.
-	c.sum, c.r = 0, 0
-	for i := 0; i < n; i++ {
-		var reply QueryReply
-		if err := c.call(ctx, i, "Query", QueryArgs{}, &reply); err != nil {
-			return fmt.Errorf("distrib: probing worker %d: %w", i, err)
-		}
-		c.sum += reply.ShardSum
-		c.r += reply.ShardTrees
-		c.slot(i).trees = reply.ShardTrees
+	if err := c.probeTotals(ctx); err != nil {
+		return err
 	}
 	if man.Trees != 0 && c.r != man.Trees {
 		return fmt.Errorf("distrib: restored cluster holds %d trees, epoch %d declares %d", c.r, cur, man.Trees)

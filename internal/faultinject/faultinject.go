@@ -72,6 +72,9 @@ const (
 	// admitted query — error plans turn into clean 502 responses, delay
 	// plans pin execution slots to force queue growth.
 	PointServeQuery = "serve.query"
+	// PointWorkerTree fires in a distrib worker once per tree it is about
+	// to fold into its shard (Load) or probe against it (Query).
+	PointWorkerTree = "worker.tree"
 )
 
 // Kind enumerates what an armed plan does when it fires.

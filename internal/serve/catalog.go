@@ -252,10 +252,17 @@ func (d *Distributed) Query(ctx context.Context, trees []*tree.Tree, v core.Vari
 	}
 	out, err := d.Coord.AverageRFOpts(ctx, collection.FromTrees(trees), distrib.QueryRunOptions{Cancel: cancel})
 	if err != nil {
+		// The coordinator extracts every tree before any worker sees it,
+		// so a tree the catalogue cannot take is the client's fault (400).
 		// Worker-side failures that survived retry and failover are an
-		// upstream problem: 502, so clients can tell "my tree is bad"
-		// (400) from "the cluster is hurting".
-		return nil, &StatusError{Status: httpStatusOf(err, http.StatusBadGateway), Err: err}
+		// upstream problem: 502, so clients can tell "my tree is bad" from
+		// "the cluster is hurting".
+		status := http.StatusBadGateway
+		var ie *distrib.InputError
+		if errors.As(err, &ie) {
+			status = http.StatusBadRequest
+		}
+		return nil, &StatusError{Status: httpStatusOf(err, status), Err: err}
 	}
 	return &Answer{Results: out.Results, Coverage: out.Coverage, Epoch: d.Epoch}, nil
 }

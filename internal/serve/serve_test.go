@@ -18,6 +18,7 @@ import (
 	"repro/internal/bfhsnap"
 	"repro/internal/collection"
 	"repro/internal/core"
+	"repro/internal/distrib"
 	"repro/internal/newick"
 	"repro/internal/simphy"
 	"repro/internal/taxa"
@@ -185,10 +186,43 @@ func TestQueryMatchesDirectAverageRF(t *testing.T) {
 	}
 }
 
+// registerDistributed shards trees across two in-process workers and
+// registers the coordinator as collection name.
+func registerDistributed(t *testing.T, cat *Catalog, name string, trees []*tree.Tree, ts *taxa.Set) {
+	t.Helper()
+	addrs := make([]string, 2)
+	for i := range addrs {
+		l, err := distrib.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		addrs[i] = l.Addr().String()
+	}
+	coord, err := distrib.Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	coord.ChunkSize = 2
+	if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Register(name, &Distributed{Coord: coord}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	trees, ts := testTrees(3, 8, 4)
-	_, srv := testService(t, Config{MaxTrees: 2}, trees, ts)
+	svc, srv := testService(t, Config{MaxTrees: 2}, trees, ts)
+	registerDistributed(t, svc.cat, "dist", trees, ts)
 	q := newickStrings(trees[:1])
+	// A tree naming a taxon outside the catalogue, and one covering only
+	// five of its eight taxa (local collections answer partial trees; a
+	// distributed one requires complete coverage).
+	unknown := strings.Replace(q[0], ts.Name(0), "stranger", 1)
+	incomplete := fmt.Sprintf("((%s,%s),(%s,%s),%s);", ts.Name(0), ts.Name(1), ts.Name(2), ts.Name(3), ts.Name(4))
 
 	cases := []struct {
 		name   string
@@ -210,6 +244,9 @@ func TestQueryValidation(t *testing.T) {
 		{"two trees in one string", "", map[string]any{"collection": "refs", "trees": []string{q[0], q[0] + q[0]}}, 400, "tree 1:"},
 		{"unknown variant", "", map[string]any{"collection": "refs", "variant": "rooted", "trees": q}, 400, ""},
 		{"info variant", "", map[string]any{"collection": "refs", "variant": "info", "trees": q}, 400, ""},
+		{"unknown taxon", "", map[string]any{"collection": "refs", "trees": []string{unknown}}, 400, "not in taxon catalogue"},
+		{"distributed unknown taxon", "", map[string]any{"collection": "dist", "trees": []string{q[0], unknown}}, 400, "not in taxon catalogue"},
+		{"distributed incomplete tree", "", map[string]any{"collection": "dist", "trees": []string{incomplete}}, 400, "complete coverage"},
 	}
 	for _, c := range cases {
 		code, body, _ := postQuery(t, srv.URL, c.tenant, c.body)
