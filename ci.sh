@@ -2,9 +2,9 @@
 # ci.sh — one-command tier-1 verification.
 #
 #   ./ci.sh            gofmt + doc gate + vet (root and perfbench) + build +
-#                      tests + race (fast subset, incl. the distrib
-#                      failover/health tests) + fuzz smoke + admin smoke +
-#                      snapshot round-trip smoke
+#                      tests + scanner benchmarks + race (fast subset, incl.
+#                      the distrib failover/health tests) + fuzz smoke +
+#                      admin smoke + snapshot round-trip smoke
 #   CI_PERF=1 ./ci.sh  additionally gate the perf sweep against BENCH_0006.json
 #
 # The perf gate is opt-in because wall-clock measurements on a loaded CI
@@ -36,6 +36,9 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== scanner benchmarks (one iteration; each fails if it allocates) =="
+go test -run '^$' -bench 'Scanner|ExtractNewick' -benchtime=1x ./internal/newick ./internal/bipart
 
 echo "== go test -race (fast subset) =="
 go test -race -short \

@@ -275,6 +275,30 @@ func TestExtractNewickSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkExtractNewick extracts an n=100 tree with branch lengths,
+// written the way generated collection files are; in steady state it
+// allocates nothing, and the benchmark fails if it does.
+func BenchmarkExtractNewick(b *testing.B) {
+	ts := taxa.Generate(100)
+	tr := simphy.RandomBinary(ts, rand.New(rand.NewSource(1)))
+	stmt := newick.String(tr, newick.WriteOptions{BranchLengths: true, Precision: 6})
+	ex := &Extractor{Taxa: ts, RequireComplete: true, ReuseMasks: true}
+	if _, err := ex.ExtractNewick(stmt); err != nil {
+		b.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = ex.ExtractNewick(stmt) }); allocs != 0 {
+		b.Fatalf("ExtractNewick allocates %v times per tree in steady state, want 0", allocs)
+	}
+	b.SetBytes(int64(len(stmt)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ex.ExtractNewick(stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestExtractNewickFiresParseFault: the fused path fires the parse-tree
 // fault point once per statement, so injected parse faults reach it as
 // *newick.ParseError just as they reach the tree parser.

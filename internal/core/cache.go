@@ -26,7 +26,9 @@ import (
 // under the shard lock — a reader can observe a missing entry, never a
 // partially-written one (the race/eviction hammer churns this under
 // -race). Capacity is enforced per shard, in entries and — via the fixed
-// per-entry footprint — in bytes.
+// per-entry footprint — in bytes. Capacity is a bound, not a reservation:
+// each shard's map and node arena grow with use, so a cache that sees a
+// handful of queries costs a handful of entries, however large its cap.
 type QueryCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -62,7 +64,7 @@ type cacheNode struct {
 }
 
 // cacheShard is one lock domain: a map from key to node index plus an
-// intrusive doubly-linked LRU list over a preallocated node arena.
+// intrusive doubly-linked LRU list over a node arena that grows up to cap.
 type cacheShard struct {
 	mu         sync.Mutex
 	idx        map[cacheKey]int
@@ -158,7 +160,7 @@ func (c *QueryCache) Put(k TopoKey, v Variant, avg float64) {
 		return
 	}
 	if s.idx == nil {
-		s.idx = make(map[cacheKey]int, s.cap)
+		s.idx = make(map[cacheKey]int)
 	}
 	var i int
 	if len(s.nodes) < s.cap {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,57 @@ func TestQueryCacheCapBounds(t *testing.T) {
 			t.Errorf("NewQueryCache(%d, %d).Cap() = %d, want %d (%s)",
 				c.entries, c.bytes, got, c.wantCap, c.wantDesc)
 		}
+	}
+}
+
+// TestQueryCacheAllocatesAsItFills: capacity is a bound, not a
+// reservation. A default cache (65,536 entries over 16 shards) that sees
+// eight results must cost about eight entries, not every shard's full
+// map.
+func TestQueryCacheAllocatesAsItFills(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewQueryCache(0, 0)
+	shards := uint64(len(c.shards))
+	for id := uint64(0); id < 8; id++ {
+		c.Put(cacheTestKey(id%shards, id, shards), Plain, float64(id))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("a default cache with 8 entries allocated %d bytes, want < %d", got, 64<<10)
+	}
+	if c.Len() != 8 {
+		t.Fatalf("Len() = %d, want 8", c.Len())
+	}
+}
+
+// TestQueryCacheFillPastCap fills a 16-entry cache with ten times as many
+// distinct keys: the lazily grown shards must still stop at their cap,
+// and every insert past it must be counted as an eviction.
+func TestQueryCacheFillPastCap(t *testing.T) {
+	c := NewQueryCache(16, 0)
+	shards := uint64(len(c.shards))
+	const puts = 160
+	for id := uint64(0); id < puts; id++ {
+		c.Put(cacheTestKey(id%shards, id, shards), Plain, float64(id))
+		if c.Len() > c.Cap() {
+			t.Fatalf("after %d puts Len() = %d exceeds Cap() = %d", id+1, c.Len(), c.Cap())
+		}
+	}
+	st := c.Stats()
+	if st.Entries != c.Cap() {
+		t.Errorf("entries = %d after %d puts, want the cap %d", st.Entries, puts, c.Cap())
+	}
+	if want := uint64(puts - c.Cap()); st.Evictions != want {
+		t.Errorf("evictions = %d, want %d", st.Evictions, want)
+	}
+	// The most recent key of each shard survives; the oldest is gone.
+	last := cacheTestKey((puts-1)%shards, puts-1, shards)
+	if v, ok := c.Get(last, Plain); !ok || v != puts-1 {
+		t.Errorf("Get(last) = %v,%v, want %v,true", v, ok, puts-1)
+	}
+	if _, ok := c.Get(cacheTestKey(0, 0, shards), Plain); ok {
+		t.Error("the first key survived 159 later inserts")
 	}
 }
 

@@ -301,7 +301,8 @@ func (c *Coordinator) SaveSnapshotsContext(ctx context.Context, dir string) (int
 
 // LoadSnapshotContext restores the cluster from the current worker-layout
 // epoch under dir, installing one part per worker (parts beyond the
-// worker count are merged onto workers round-robin). Workers that share
+// worker count are merged onto workers round-robin; workers beyond the
+// part count start as empty shards). Workers that share
 // the coordinator's filesystem stream the part files directly; others
 // get the bytes over RPC. Replaces any previously loaded references.
 func (c *Coordinator) LoadSnapshotContext(ctx context.Context, dir string) error {
@@ -361,6 +362,20 @@ func (c *Coordinator) LoadSnapshotContext(ctx context.Context, dir string) error
 			if err := c.call(ctx, target, "Adopt", AdoptArgs{ShardID: -1 - p, Data: data}, &reply); err != nil {
 				return fmt.Errorf("distrib: merging part %d onto worker %d: %w", p, target, err)
 			}
+		}
+	}
+	// Workers past the last part start as empty shards on the epoch's
+	// catalogue, so the totals probe and every query find them ready.
+	init := InitArgs{
+		TaxaNames:  hdr0.TaxaNames,
+		Backend:    hdr0.Backend.String(),
+		HashShards: c.HashShards,
+		Protocol:   Protocol,
+	}
+	for i := len(man.Parts); i < n; i++ {
+		var reply LoadReply
+		if err := c.call(ctx, i, "Init", init, &reply); err != nil {
+			return fmt.Errorf("distrib: init worker %d: %w", i, err)
 		}
 	}
 	// Re-fold global totals from the restored cluster, as Load does.

@@ -154,8 +154,9 @@ func TestSplitWireMatchesLocal(t *testing.T) {
 					t.Fatal(err)
 				}
 				// One worker takes both parts (the second merged in by
-				// Adopt); two take one each.
-				for _, k := range []int{1, 2} {
+				// Adopt); two take one each; of three, the third starts
+				// as an empty shard.
+				for _, k := range []int{1, 2, 3} {
 					coord, err := Dial(startWorkers(t, k))
 					if err != nil {
 						t.Fatal(err)

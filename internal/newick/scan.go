@@ -1,7 +1,6 @@
 package newick
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -179,6 +178,13 @@ func (s *Scanner) Length() (float64, bool) { return s.length, s.hasLength }
 // finished, and Next keeps returning that same outcome.
 func (s *Scanner) Next() (Event, error) {
 	for s.err == nil && s.state != stDone {
+		ev, ok := s.quick()
+		if ok {
+			if ev != 0 {
+				return ev, nil
+			}
+			continue
+		}
 		ev, err := s.step()
 		if err != nil {
 			s.err = err
@@ -192,6 +198,87 @@ func (s *Scanner) Next() (Event, error) {
 		return 0, s.err
 	}
 	return End, nil
+}
+
+// quick is step's common case, decided straight from the bytes: inside a
+// tree (depth > 0, no token pending, no extra tree being validated) it
+// takes a '(', a ',', a bare leaf label ending directly at ',', ')' or
+// ':', or a ')' with an optional bare internal label. A leaf or ')' may
+// carry a ':' and a plain decimal length (see plainDecimal) ending at a
+// structural byte. Anything else — quotes, whitespace, comments,
+// exponents, a read reaching the end of src, a leaf past MaxTaxa —
+// returns ok false with nothing consumed, so step handles it, and every
+// error, limit and position still comes from step. On success the
+// scanner is where step would have left it after lexing the same tokens,
+// minus the lookahead step keeps pending, which is lexed again next.
+func (s *Scanner) quick() (ev Event, ok bool) {
+	src, i := s.src, s.pos
+	if s.hasPend || s.extra || s.depth == 0 || i >= len(src) {
+		return 0, false
+	}
+	switch c := src[i]; {
+	case s.state == stNode && c == '(':
+		s.pos++
+		s.depth++
+		return Open, true
+	case s.state == stNode && !structural[c]:
+		if s.maxTaxa > 0 && s.leaves >= s.maxTaxa {
+			return 0, false
+		}
+		j := bareEnd(src, i)
+		if j == len(src) || (src[j] != ',' && src[j] != ')' && src[j] != ':') {
+			return 0, false
+		}
+		if !s.quickLength(j) {
+			return 0, false
+		}
+		s.label = appendBare(s.label[:0], src[i:j])
+		s.leaves++
+		s.state = stAfter
+		return Leaf, true
+	case s.state == stAfter && c == ',':
+		s.pos++
+		s.state = stNode
+		return 0, true
+	case s.state == stAfter && c == ')':
+		j := bareEnd(src, i+1)
+		if j == len(src) || (src[j] != ',' && src[j] != ')' && src[j] != ':' && src[j] != ';') {
+			return 0, false
+		}
+		if !s.quickLength(j) {
+			return 0, false
+		}
+		s.depth--
+		s.label = appendBare(s.label[:0], src[i+1:j])
+		return Close, true
+	}
+	return 0, false
+}
+
+// quickLength reads the optional ":length" that starts at src[j], when it
+// is a plain decimal ending at a structural byte, and moves past it; it
+// reports false, reading nothing, otherwise. With no ':' at j it moves to
+// j with no length.
+func (s *Scanner) quickLength(j int) bool {
+	if s.src[j] != ':' {
+		s.pos, s.length, s.hasLength = j, 0, false
+		return true
+	}
+	v, n, ok := plainDecimal(s.src[j+1:])
+	end := j + 1 + n
+	if !ok || end == len(s.src) || !structural[s.src[end]] {
+		return false
+	}
+	s.pos, s.length, s.hasLength = end, v, true
+	return true
+}
+
+// bareEnd returns the end of the run of non-structural bytes at src[i:].
+func bareEnd(src string, i int) int {
+	for i < len(src) && !structural[src[i]] {
+		i++
+	}
+	return i
 }
 
 // step advances the state machine by at most one event; a zero event
@@ -338,13 +425,26 @@ func (s *Scanner) nodeLength() (span, error) {
 // pow10 holds the powers of ten a float64 represents exactly.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
-// parseLength is strconv.ParseFloat(strings.TrimSpace(text), 64) with a
-// fast path for the plain decimals branch lengths nearly always are
-// ("0.0320576", "-1.5"): with at most 15 digits and no exponent, the value
-// is an exact integer divided by an exact power of ten, and IEEE division
-// rounds that quotient correctly — the very bits ParseFloat returns (it
-// takes the same exact path). Anything else goes to ParseFloat.
+// parseLength is strconv.ParseFloat(strings.TrimSpace(text), 64), with
+// plainDecimal as its fast path for the plain decimals branch lengths
+// nearly always are; anything else goes to ParseFloat.
 func parseLength(text string) (float64, error) {
+	if v, n, ok := plainDecimal(text); ok && n == len(text) {
+		return v, nil
+	}
+	return strconv.ParseFloat(strings.TrimSpace(text), 64)
+}
+
+// plainDecimal parses the plain decimal at the start of text ("0.0320576",
+// "-1.5"): an optional sign, then at least one and at most 15 digits with
+// at most one '.' among them. It returns the value and the decimal's
+// length, the first byte that is neither a digit nor its first '.'; ok is
+// false when text does not start with one, or a 16th digit follows. With
+// at most 15 digits and no exponent the value is an exact integer divided
+// by an exact power of ten, and IEEE division rounds that quotient
+// correctly — the very bits strconv.ParseFloat returns (it takes the same
+// exact path).
+func plainDecimal(text string) (v float64, n int, ok bool) {
 	i, neg := 0, false
 	if text != "" && (text[0] == '-' || text[0] == '+') {
 		neg, i = text[0] == '-', 1
@@ -357,8 +457,11 @@ func parseLength(text string) (float64, error) {
 			dot = true
 			continue
 		}
-		if c < '0' || c > '9' || digits == len(pow10)-1 {
-			return strconv.ParseFloat(strings.TrimSpace(text), 64)
+		if c < '0' || c > '9' {
+			break
+		}
+		if digits == len(pow10)-1 {
+			return 0, 0, false
 		}
 		mant = mant*10 + uint64(c-'0')
 		digits++
@@ -367,13 +470,13 @@ func parseLength(text string) (float64, error) {
 		}
 	}
 	if digits == 0 {
-		return strconv.ParseFloat(strings.TrimSpace(text), 64)
+		return 0, 0, false
 	}
-	f := float64(mant) / pow10[frac]
+	v = float64(mant) / pow10[frac]
 	if neg {
-		f = -f
+		v = -v
 	}
-	return f, nil
+	return v, i, true
 }
 
 // peek returns the lookahead token, lexing it if none is pending.
@@ -477,10 +580,7 @@ func (s *Scanner) lexQuoted() (span, error) {
 // non-structural bytes.
 func (s *Scanner) lexBare() (span, error) {
 	start, src := s.pos, s.src
-	i := start
-	for i < len(src) && !structural[src[i]] {
-		i++
-	}
+	i := bareEnd(src, start)
 	if i == len(src) && s.cut {
 		return span{}, s.overBudget()
 	}
@@ -517,13 +617,17 @@ func (s *Scanner) decode(t span, dst []byte) []byte {
 			text = text[j+2:]
 		}
 	}
-	dst = append(dst, text...)
-	if bytes.IndexByte(dst, '_') >= 0 {
-		for k, b := range dst {
-			if b == '_' {
-				dst[k] = ' '
-			}
+	return appendBare(dst, text)
+}
+
+// appendBare appends the bare label text to dst, reading '_' as a space.
+func appendBare(dst []byte, text string) []byte {
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c == '_' {
+			c = ' '
 		}
+		dst = append(dst, c)
 	}
 	return dst
 }

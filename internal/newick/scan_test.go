@@ -7,6 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/simphy"
+	"repro/internal/taxa"
 )
 
 // TestParseLengthMatchesParseFloat: the plain-decimal fast path returns
@@ -40,6 +43,45 @@ func TestParseLengthMatchesParseFloat(t *testing.T) {
 		want, wantErr := strconv.ParseFloat(strings.TrimSpace(in), 64)
 		if (gotErr != nil) != (wantErr != nil) || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("parseLength(%q) = %v, %v; ParseFloat = %v, %v", in, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// benchTree is an n=100 tree with branch lengths, written the way
+// generated collection files are (six significant digits).
+func benchTree() string {
+	tr := simphy.RandomBinary(taxa.Generate(100), rand.New(rand.NewSource(1)))
+	return String(tr, WriteOptions{BranchLengths: true, Precision: 6})
+}
+
+// scanAll walks stmt to its End event.
+func scanAll(sc *Scanner, stmt string) error {
+	sc.Reset(stmt)
+	for {
+		ev, err := sc.Next()
+		if err != nil || ev == End {
+			return err
+		}
+	}
+}
+
+// BenchmarkScanner walks an n=100 tree's events; in steady state the
+// scanner allocates nothing, and the benchmark fails if it does.
+func BenchmarkScanner(b *testing.B) {
+	stmt := benchTree()
+	var sc Scanner
+	if err := scanAll(&sc, stmt); err != nil {
+		b.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = scanAll(&sc, stmt) }); allocs != 0 {
+		b.Fatalf("Scanner allocates %v times per tree in steady state, want 0", allocs)
+	}
+	b.SetBytes(int64(len(stmt)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := scanAll(&sc, stmt); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

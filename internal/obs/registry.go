@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -184,50 +185,43 @@ func NewRegistry() *Registry {
 var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 var labelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 
-// signature serializes a label set into a canonical map key (sorted by
-// label name). It doubles as the exposition ordering key, so metric lines
-// within a family are stable across runs.
-func signature(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
+// appendSignature appends the canonical map key of a label set (sorted
+// by label name) to dst. It doubles as the exposition ordering key, so
+// metric lines within a family are stable across runs. Sets of up to
+// eight labels are sorted on the stack, so a lookup of an existing
+// series allocates nothing.
+func appendSignature(dst []byte, labels []Label) []byte {
+	var tmp [8]Label
+	ls := append(tmp[:0], labels...)
+	sortLabels(ls)
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(escapeLabelValue(l.Value))
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=')
+		dst = append(dst, escapeLabelValue(l.Value)...)
 	}
-	return b.String()
+	return dst
+}
+
+// sortLabels sorts a (small) label set by name in place.
+func sortLabels(ls []Label) {
+	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 }
 
 // lookup resolves or creates the (family, instance) pair. Misuse —
 // re-registering a name with a different type, invalid names, duplicate
 // label keys — panics: these are programmer errors, caught by the first
-// test that touches the metric.
+// test that touches the metric. Names are validated when a family or
+// series is created, so resolving an existing one is a map probe.
 func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64, labels []Label) any {
-	if !nameRe.MatchString(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	seen := make(map[string]bool, len(labels))
-	for _, l := range labels {
-		if !labelRe.MatchString(l.Key) {
-			panic(fmt.Sprintf("obs: invalid label name %q on metric %q", l.Key, name))
-		}
-		if seen[l.Key] {
-			panic(fmt.Sprintf("obs: duplicate label %q on metric %q", l.Key, name))
-		}
-		seen[l.Key] = true
-	}
-	sig := signature(labels)
+	var buf [128]byte
+	sig := appendSignature(buf[:0], labels)
 
 	r.mu.RLock()
 	if f, ok := r.families[name]; ok {
-		in, ok := f.metrics[sig]
+		in, ok := f.metrics[string(sig)]
 		kindGot := f.kind
 		r.mu.RUnlock()
 		if kindGot != kind {
@@ -243,6 +237,26 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
+	if ok {
+		if f.kind != kind {
+			panic(fmt.Sprintf("obs: metric %q registered as %v, requested as %v", name, f.kind, kind))
+		}
+		if in, ok := f.metrics[string(sig)]; ok {
+			return in.metric
+		}
+	} else if !nameRe.MatchString(name) {
+		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	ls := append([]Label(nil), labels...)
+	sortLabels(ls)
+	for i, l := range ls {
+		if !labelRe.MatchString(l.Key) {
+			panic(fmt.Sprintf("obs: invalid label name %q on metric %q", l.Key, name))
+		}
+		if i > 0 && ls[i-1].Key == l.Key {
+			panic(fmt.Sprintf("obs: duplicate label %q on metric %q", l.Key, name))
+		}
+	}
 	if !ok {
 		if kind == kindHistogram && len(buckets) == 0 {
 			buckets = DefLatencyBuckets
@@ -251,12 +265,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 		sort.Float64s(bs)
 		f = &family{name: name, help: help, kind: kind, buckets: bs, metrics: make(map[string]*instance)}
 		r.families[name] = f
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q registered as %v, requested as %v", name, f.kind, kind))
-	}
-	if in, ok := f.metrics[sig]; ok {
-		return in.metric
 	}
 	var m any
 	switch kind {
@@ -269,9 +277,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 		h.counts = make([]atomic.Uint64, len(f.buckets)+1)
 		m = h
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	f.metrics[sig] = &instance{labels: ls, metric: m}
+	f.metrics[string(sig)] = &instance{labels: ls, metric: m}
 	return m
 }
 

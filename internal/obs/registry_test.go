@@ -96,6 +96,45 @@ func TestDuplicateLabelPanics(t *testing.T) {
 	r.Counter("m_total", "help", L("a", "1"), L("a", "2"))
 }
 
+// TestInvalidLabelNamePanics: label names are validated when a series is
+// created, whether its family is new or already has other series.
+func TestInvalidLabelNamePanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("fam_total", "help", L("ok", "1"))
+	for _, name := range []string{"new_total", "fam_total"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: invalid label name should panic", name)
+				}
+			}()
+			r.Counter(name, "help", L("bad-key", "1"))
+		}()
+	}
+}
+
+// TestRepeatLookupAllocatesNothing: resolving an existing series — the
+// per-RPC pattern of the distrib metrics — is a map probe, with no
+// regexp run and no allocation.
+func TestRepeatLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	labels := func() (Label, Label, Label) {
+		return L("side", "coordinator"), L("method", "Query"), L("worker", "127.0.0.1:7911")
+	}
+	a, b, c := labels()
+	h := r.Histogram("rpc_seconds", "help", nil, a, b, c)
+	cn := r.Counter("rpc_errors_total", "help", a, b, c)
+	allocs := testing.AllocsPerRun(100, func() {
+		a, b, c := labels()
+		if r.Histogram("rpc_seconds", "help", nil, c, a, b) != h || r.Counter("rpc_errors_total", "help", b, c, a) != cn {
+			t.Fatal("repeat lookup resolved a different instance")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("repeat lookup allocates %v times, want 0", allocs)
+	}
+}
+
 func TestLabelOrderIrrelevant(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("m_total", "help", L("x", "1"), L("y", "2"))

@@ -296,13 +296,13 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		replyErr(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	_, span := obs.StartSpan(ctx, "serve.query")
+	qctx, span := obs.StartSpan(ctx, "serve.query")
 	if span.Recorded() {
 		span.SetAttr("collection", req.Collection)
 		span.SetAttr("tenant", tenant)
 		span.SetAttr("trees", len(trees))
 	}
-	ans, err := backend.Query(ctx, trees, v)
+	ans, err := backend.Query(qctx, trees, v)
 	span.End()
 	if err != nil {
 		replyErr(w, httpStatusOf(err, http.StatusBadGateway), "%v", err)
