@@ -2,9 +2,10 @@
 # ci.sh — one-command tier-1 verification.
 #
 #   ./ci.sh            gofmt + doc gate + vet (root and perfbench) + build +
-#                      tests + scanner benchmarks + race (fast subset, incl.
-#                      the distrib failover/health tests) + fuzz smoke +
-#                      admin smoke + snapshot round-trip smoke
+#                      tests + scanner/extract/decode benchmarks + race
+#                      (fast subset, incl. the distrib failover/health
+#                      tests) + fuzz smoke + admin smoke + snapshot
+#                      round-trip smoke
 #   CI_PERF=1 ./ci.sh  additionally gate the perf sweep against BENCH_0006.json
 #
 # The perf gate is opt-in because wall-clock measurements on a loaded CI
@@ -37,8 +38,9 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== scanner benchmarks (one iteration; each fails if it allocates) =="
-go test -run '^$' -bench 'Scanner|ExtractNewick' -benchtime=1x ./internal/newick ./internal/bipart
+echo "== scanner, extract and decode benchmarks (one iteration; the scanner and extract ones fail if they allocate) =="
+go test -run '^$' -bench 'Scanner|ExtractNewick|Extract$' -benchtime=1x ./internal/newick ./internal/bipart
+go test -run '^$' -bench 'DecodeQuery' -benchtime=1x ./internal/serve
 
 echo "== go test -race (fast subset) =="
 go test -race -short \
@@ -74,6 +76,8 @@ go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/newick
 go test -run='^$' -fuzz=FuzzParseMatchesReference -fuzztime=10s ./internal/newick
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/nexus
 go test -run='^$' -fuzz=FuzzExtractNewick -fuzztime=10s ./internal/bipart
+go test -run='^$' -fuzz=FuzzExtractMatchesReference -fuzztime=10s ./internal/bipart
+go test -run='^$' -fuzz=FuzzServeQuery -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz=FuzzTable -fuzztime=10s ./internal/bfhtable
 go test -run='^$' -fuzz=FuzzSuccinct -fuzztime=10s ./internal/bfhtable
 go test -run='^$' -fuzz=FuzzFingerprint -fuzztime=10s ./internal/core

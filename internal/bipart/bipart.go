@@ -211,11 +211,18 @@ type Extractor struct {
 	emitted []*bitset.Bits
 	// outBuf is the reused result slice under ReuseMasks.
 	outBuf []Bipartition
-	// scan, open and splits are ExtractNewick's scratch: the statement
-	// scanner, the masks of the open subtrees, and the completed splits.
-	scan   newick.Scanner
-	open   []*bitset.Bits
-	splits []rawSplit
+	// acc is the per-call extraction state; path is Extract's walk
+	// stack and scan ExtractNewick's statement scanner.
+	acc  accum
+	path []treeFrame
+	scan newick.Scanner
+}
+
+// treeFrame is one open internal node of Extract's walk and the index of
+// its next child to visit.
+type treeFrame struct {
+	nd    *tree.Node
+	child int
 }
 
 // getMask returns a zeroed width-n mask from the pool.
@@ -251,120 +258,40 @@ func NewExtractor(ts *taxa.Set) *Extractor {
 
 // Extract returns the bipartitions of t in postorder edge order.
 // Each returned bipartition is canonical; trivial splits are excluded
-// unless IncludeTrivial is set.
+// unless IncludeTrivial is set. One iterative walk feeds the accumulator
+// ExtractNewick shares (see accum), so a tree and its Newick text
+// extract bit for bit alike. The root never has an edge, parented or not.
 func (e *Extractor) Extract(t *tree.Tree) ([]Bipartition, error) {
-	n := e.Taxa.Len()
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("bipart: nil tree")
 	}
-	if e.ReuseMasks {
-		// The previous call's emitted masks are dead now; recycle them.
-		e.pool = append(e.pool, e.emitted...)
-		e.emitted = e.emitted[:0]
-	}
-
-	// First pass: map leaves to catalogue indices and find the anchor
-	// (lowest-indexed taxon present).
-	present := 0
-	anchor := -1
-	var leafErr error
-	seen := e.resetSeen(n)
-	t.Postorder(func(nd *tree.Node) {
-		if leafErr != nil || !nd.IsLeaf() {
-			return
-		}
-		idx, ok := e.Taxa.Index(nd.Name)
-		if !ok {
-			leafErr = fmt.Errorf("bipart: leaf %q not in taxon catalogue", nd.Name)
-			return
-		}
-		if seen[idx] {
-			leafErr = fmt.Errorf("bipart: duplicate leaf %q", nd.Name)
-			return
-		}
-		seen[idx] = true
-		present++
-		if anchor == -1 || idx < anchor {
-			anchor = idx
-		}
-	})
-	if leafErr != nil {
-		return nil, leafErr
-	}
-	if present < 2 {
-		return nil, fmt.Errorf("bipart: tree has %d taxa; need at least 2", present)
-	}
-	if e.RequireComplete && present != n {
-		return nil, fmt.Errorf("bipart: tree covers %d of %d catalogue taxa; complete coverage required", present, n)
-	}
-
-	// Second pass: iterative postorder with pooled masks. Each stack frame
-	// owns one mask; a completed child ORs its mask into its parent's and
-	// returns the buffer to the pool, so extraction allocates only the
-	// emitted canonical masks (and not even those under ReuseMasks).
-	var out []Bipartition
-	if e.ReuseMasks {
-		out = e.outBuf[:0]
-	}
-	// In the rooted-binary serialization (root with 2 children) the two root
-	// edges are the same unrooted edge; emit only the first.
-	var skipChild *tree.Node
-	if len(t.Root.Children) == 2 {
-		skipChild = t.Root.Children[1]
-	}
-	type frame struct {
-		nd    *tree.Node
-		child int
-		mask  *bitset.Bits
-	}
-	stack := make([]frame, 1, 64)
-	stack[0] = frame{nd: t.Root, mask: e.getMask(n)}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.child < len(f.nd.Children) {
-			c := f.nd.Children[f.child]
-			f.child++
-			stack = append(stack, frame{nd: c, mask: e.getMask(n)})
-			continue
-		}
-		nd, m := f.nd, f.mask
+	e.begin()
+	path := e.path[:0]
+	for nd := t.Root; nd != nil; {
 		if nd.IsLeaf() {
 			idx, _ := e.Taxa.Index(nd.Name)
-			m.Set(idx)
-		}
-		if nd.Parent != nil && nd != skipChild {
-			var c *bitset.Bits
-			if e.ReuseMasks {
-				c = e.getMask(n)
-				c.CopyFrom(m)
-			} else {
-				c = m.Clone()
+			if !e.leaf(idx, nd.Length, nd.HasLength) {
+				e.badLeaf(idx, nd.Name)
 			}
-			if c.Test(anchor) {
-				c.ComplementInPlace()
-			}
-			b := Bipartition{mask: c, hash: maskHash(c.Words())}
-			b.Length, b.HasLength = nd.Length, nd.HasLength
-			if (e.IncludeTrivial || !b.IsTrivial(present)) &&
-				(e.Filter == nil || e.Filter(b)) {
-				out = append(out, b)
-				if e.ReuseMasks {
-					e.emitted = append(e.emitted, c)
-				}
-			} else if e.ReuseMasks {
-				e.putMask(c)
-			}
+		} else {
+			e.openSubtree()
+			path = append(path, treeFrame{nd: nd})
 		}
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			stack[len(stack)-1].mask.Or(m)
+		// Step to the next unvisited child, closing finished subtrees.
+		nd = nil
+		for len(path) > 0 {
+			f := &path[len(path)-1]
+			if f.child < len(f.nd.Children) {
+				nd = f.nd.Children[f.child]
+				f.child++
+				break
+			}
+			e.closeSubtree(f.nd.Length, f.nd.HasLength)
+			path = path[:len(path)-1]
 		}
-		e.putMask(m)
 	}
-	if e.ReuseMasks {
-		e.outBuf = out
-	}
-	return out, nil
+	e.path = path
+	return e.finish(nil)
 }
 
 // MustExtract is Extract but panics on error. For tests.

@@ -14,7 +14,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/newick"
 	"repro/internal/obs"
-	"repro/internal/tree"
 )
 
 // Config sizes one Service. The zero value applies the documented
@@ -319,44 +317,6 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = queryResult{Index: res.Index, AvgRF: res.AvgRF}
 	}
 	reply(w, http.StatusOK, resp)
-}
-
-// decodeQuery reads and validates the request body: size-capped JSON,
-// then each tree parsed as a whole string under the configured limits,
-// so text after its ';' is an error. Returns the parsed request,
-// the trees, and on failure the HTTP status to answer with.
-func (s *Service) decodeQuery(w http.ResponseWriter, r *http.Request) (*queryRequest, []*tree.Tree, int, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
-	var req queryRequest
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, nil, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
-		}
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("malformed JSON: %w", err)
-	}
-	if !ValidName(req.Collection) {
-		return nil, nil, http.StatusBadRequest,
-			fmt.Errorf("invalid collection name (want 1..%d chars of [A-Za-z0-9_.-], no leading . or -)", nameMaxLen)
-	}
-	if len(req.Trees) == 0 {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("no query trees")
-	}
-	if len(req.Trees) > s.cfg.maxTrees() {
-		return nil, nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%d query trees exceeds the per-request cap of %d", len(req.Trees), s.cfg.maxTrees())
-	}
-	trees := make([]*tree.Tree, len(req.Trees))
-	for i, nwk := range req.Trees {
-		t, err := newick.ParseLimits(nwk, s.cfg.Limits)
-		if err != nil {
-			return nil, nil, http.StatusBadRequest, fmt.Errorf("tree %d: %w", i, err)
-		}
-		trees[i] = t
-	}
-	return &req, trees, 0, nil
 }
 
 // collectionsRequest is the POST /v1/collections body: register (or

@@ -38,7 +38,7 @@ func testTrees(seed int64, n, r int) ([]*tree.Tree, *taxa.Set) {
 }
 
 // buildHash folds trees into a FreqHash.
-func buildHash(t *testing.T, trees []*tree.Tree, ts *taxa.Set) *core.FreqHash {
+func buildHash(t testing.TB, trees []*tree.Tree, ts *taxa.Set) *core.FreqHash {
 	t.Helper()
 	h, err := core.Build(collection.FromTrees(trees), ts, core.BuildOptions{Workers: 1})
 	if err != nil {
@@ -49,7 +49,7 @@ func buildHash(t *testing.T, trees []*tree.Tree, ts *taxa.Set) *core.FreqHash {
 
 // newStore saves trees as epoch 1 of a fresh snapshot store and returns
 // its directory.
-func newStore(t *testing.T, trees []*tree.Tree, ts *taxa.Set) string {
+func newStore(t testing.TB, trees []*tree.Tree, ts *taxa.Set) string {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := bfhsnap.Open(dir)
@@ -73,7 +73,7 @@ func newickStrings(trees []*tree.Tree) []string {
 
 // testService builds a service over one local collection named "refs"
 // and returns it with its test server.
-func testService(t *testing.T, cfg Config, trees []*tree.Tree, ts *taxa.Set) (*Service, *httptest.Server) {
+func testService(t testing.TB, cfg Config, trees []*tree.Tree, ts *taxa.Set) (*Service, *httptest.Server) {
 	t.Helper()
 	cat := NewCatalog("", 0)
 	t.Cleanup(cat.Close)
@@ -276,6 +276,14 @@ func TestQueryValidation(t *testing.T) {
 	// distributed one requires complete coverage).
 	unknown := strings.Replace(q[0], ts.Name(0), "stranger", 1)
 	incomplete := fmt.Sprintf("((%s,%s),(%s,%s),%s);", ts.Name(0), ts.Name(1), ts.Name(2), ts.Name(3), ts.Name(4))
+	// A valid body to append bytes to; encoding/json's trailing newline
+	// and other whitespace stay acceptable.
+	validJSON, err := json.Marshal(map[string]any{"collection": "refs", "trees": q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := string(validJSON)
+	escaped := strings.Replace(valid, `"refs"`, `"r\u0065fs"`, 1)
 
 	cases := []struct {
 		name   string
@@ -300,6 +308,12 @@ func TestQueryValidation(t *testing.T) {
 		{"unknown taxon", "", map[string]any{"collection": "refs", "trees": []string{unknown}}, 400, "not in taxon catalogue"},
 		{"distributed unknown taxon", "", map[string]any{"collection": "dist", "trees": []string{q[0], unknown}}, 400, "not in taxon catalogue"},
 		{"distributed incomplete tree", "", map[string]any{"collection": "dist", "trees": []string{incomplete}}, 400, "complete coverage"},
+		{"trailing junk", "", valid + "junk", 400, "trailing data after JSON body"},
+		{"trailing brackets", "", valid + "]]]", 400, "trailing data after JSON body"},
+		{"second object", "", valid + `{"collection":"other"}`, 400, "trailing data after JSON body"},
+		{"escaped body, trailing junk", "", escaped + "junk", 400, "trailing data after JSON body"},
+		{"trailing whitespace", "", valid + " \r\n\t\n", 200, `"avg_rf"`},
+		{"escaped body", "", escaped + "\n", 200, `"avg_rf"`},
 	}
 	for _, c := range cases {
 		code, body, _ := postQuery(t, srv.URL, c.tenant, c.body)
