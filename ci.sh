@@ -52,6 +52,14 @@ go test -race -short \
   ./internal/seqrf ./internal/serve ./internal/stats \
   ./internal/tabfmt ./internal/taxa ./internal/tree
 
+echo "== go test -race (core and collection worker pools, 1 and 4 CPUs) =="
+# The pools report the earliest bad tree in stream order whichever worker
+# fails first; a 2-CPU host never runs them at other GOMAXPROCS values, so
+# pin both ends here.
+go test -race -count=1 -cpu 1,4 \
+  -run 'EarliestBadTree|FirstBadTree|RawPath|FusedPath|QuerySkip|QueryCancel' \
+  ./internal/core ./internal/collection
+
 echo "== go test -race (distrib fault tolerance) =="
 # The failover, retry, and health-loop paths are the concurrency-heavy
 # new surface; run them explicitly under the race detector (not -short,

@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/bipart"
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/newick"
@@ -132,20 +134,36 @@ func (h *Hash) GreedyConsensus(minSupport float64) (string, error) {
 
 // AddTree folds one more reference tree (as Newick) into the hash.
 func (h *Hash) AddTree(newickTree string) error {
-	t, err := newick.Parse(newickTree)
+	bs, err := h.splitsOf(newickTree)
 	if err != nil {
-		return fmt.Errorf("repro: %w", err)
+		return err
 	}
-	return h.h.AddTree(t, h.cfg.filter(h.h.Taxa().Len()), true)
+	h.h.AddSplits(bs)
+	return nil
 }
 
 // RemoveTree subtracts a previously added reference tree (as Newick).
 func (h *Hash) RemoveTree(newickTree string) error {
-	t, err := newick.Parse(newickTree)
+	bs, err := h.splitsOf(newickTree)
 	if err != nil {
-		return fmt.Errorf("repro: %w", err)
+		return err
 	}
-	return h.h.RemoveTree(t, h.cfg.filter(h.h.Taxa().Len()), true)
+	return h.h.RemoveSplits(bs)
+}
+
+// splitsOf reduces one Newick statement straight to its splits over the
+// hash's catalogue, with no tree built. A syntax error is wrapped like
+// every Newick error of this package; a catalogue error is returned as
+// the extractor words it.
+func (h *Hash) splitsOf(newickTree string) ([]bipart.Bipartition, error) {
+	ts := h.h.Taxa()
+	ex := &bipart.Extractor{Taxa: ts, RequireComplete: true, Filter: h.cfg.filter(ts.Len())}
+	bs, err := ex.ExtractNewick(newickTree)
+	var pe *newick.ParseError
+	if errors.As(err, &pe) {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	return bs, err
 }
 
 // AnnotateSupport labels every internal edge of the Newick tree with the

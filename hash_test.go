@@ -120,6 +120,62 @@ func TestHashIncrementalUpdates(t *testing.T) {
 	}
 }
 
+// TestHashUpdateInputs pins what AddTree and RemoveTree accept and the
+// exact error each rejected string gets. Both go from the string straight
+// to its splits; syntax errors carry the package's "repro: " prefix and
+// catalogue errors the extractor's own wording.
+func TestHashUpdateInputs(t *testing.T) {
+	const tree = "((A,B),((C,D),(E,F)));"
+	cases := []struct {
+		name, in, err string
+	}{
+		{"plain", tree, ""},
+		{"surrounding whitespace", "  " + tree + "  ", ""},
+		{"leading comment", "[lead]" + tree, ""},
+		{"missing semicolon", "((A,B),((C,D),(E,F)))",
+			"repro: newick: parse error at line 1 (offset 21): expected ';' after tree, found end of input"},
+		{"junk after semicolon", tree + "junk",
+			"repro: newick: parse error at line 1 (offset 26): expected ';' after tree, found end of input"},
+		{"two statements", tree + tree,
+			"repro: newick: parse error at offset 0: unexpected extra tree after ';'"},
+		{"double semicolon", tree + ";",
+			"repro: newick: parse error at line 1 (offset 22): expected '(' or label, found ';'"},
+		{"bare semicolon", ";",
+			"repro: newick: parse error at line 1 (offset 0): expected '(' or label, found ';'"},
+		{"empty", "",
+			"repro: newick: parse error at line 1 (offset 0): expected '(' or label, found end of input"},
+		{"unknown taxon", "((A,B),((C,D),(E,Z)));", `bipart: leaf "Z" not in taxon catalogue`},
+		{"incomplete", "((A,B),((C,D),E));", "bipart: tree covers 5 of 6 catalogue taxa; complete coverage required"},
+		{"duplicate leaf", "((A,B),((C,D),(E,F,F)));", `bipart: duplicate leaf "F"`},
+	}
+	for _, c := range cases {
+		h, err := BuildHashNewick(sixTaxonRefs(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []struct {
+			name  string
+			apply func(string) error
+			r     int
+		}{{"AddTree", h.AddTree, 5}, {"RemoveTree", h.RemoveTree, 4}} {
+			err := op.apply(c.in)
+			switch {
+			case c.err == "" && err != nil:
+				t.Errorf("%s: %s(%q) = %v, want success", c.name, op.name, c.in, err)
+			case c.err != "" && (err == nil || err.Error() != c.err):
+				t.Errorf("%s: %s(%q) = %v, want %q", c.name, op.name, c.in, err, c.err)
+			}
+			want := op.r
+			if c.err != "" {
+				want = 4
+			}
+			if got := h.Stats().NumTrees; got != want {
+				t.Errorf("%s: r = %d after %s, want %d", c.name, got, op.name, want)
+			}
+		}
+	}
+}
+
 func TestHashSplits(t *testing.T) {
 	h, err := BuildHashNewick(sixTaxonRefs(), Config{})
 	if err != nil {

@@ -44,38 +44,39 @@ func (s *Store) Delta(add, retire []*tree.Tree, filter bipart.Filter, requireCom
 	shards := h.NumShards()
 	dirty := make([]bool, shards)
 
-	// Mark the shards every touched bipartition lands in before mutating
-	// anything: over-marking merely rewrites an extra part, under-marking
-	// would publish stale storage.
+	// Extract every tree once and mark the shards its bipartitions land
+	// in before mutating anything: over-marking merely rewrites an extra
+	// part, under-marking would publish stale storage. The extractor
+	// allocates fresh masks per tree, so the sets stay valid until folded.
 	ex := &bipart.Extractor{Taxa: h.Taxa(), RequireComplete: requireComplete, Filter: filter}
-	mark := func(t *tree.Tree) error {
-		bs, err := ex.Extract(t)
-		if err != nil {
-			return fmt.Errorf("bfhsnap: delta: %w", err)
+	mark := func(trees []*tree.Tree) ([][]bipart.Bipartition, error) {
+		sets := make([][]bipart.Bipartition, len(trees))
+		for i, t := range trees {
+			bs, err := ex.Extract(t)
+			if err != nil {
+				return nil, fmt.Errorf("bfhsnap: delta: %w", err)
+			}
+			for _, b := range bs {
+				dirty[bfhtable.ShardIndex(b.Hash(), shards)] = true
+			}
+			sets[i] = bs
 		}
-		for _, b := range bs {
-			dirty[bfhtable.ShardIndex(b.Hash(), shards)] = true
-		}
-		return nil
+		return sets, nil
 	}
-	for _, t := range add {
-		if err := mark(t); err != nil {
-			return res, err
-		}
+	adds, err := mark(add)
+	if err != nil {
+		return res, err
 	}
-	for _, t := range retire {
-		if err := mark(t); err != nil {
-			return res, err
-		}
+	retires, err := mark(retire)
+	if err != nil {
+		return res, err
 	}
 
-	for _, t := range add {
-		if err := h.AddTree(t, filter, requireComplete); err != nil {
-			return res, fmt.Errorf("bfhsnap: delta add: %w", err)
-		}
+	for _, bs := range adds {
+		h.AddSplits(bs)
 	}
-	for _, t := range retire {
-		if err := h.RemoveTree(t, filter, requireComplete); err != nil {
+	for _, bs := range retires {
+		if err := h.RemoveSplits(bs); err != nil {
 			return res, fmt.Errorf("bfhsnap: delta retire: %w", err)
 		}
 	}

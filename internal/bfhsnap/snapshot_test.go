@@ -356,6 +356,25 @@ func TestDeltaEquivalence(t *testing.T) {
 			t.Fatalf("%v: retired epoch has %d trees, want %d", b, got, want)
 		}
 		sameVector(t, queryVector(t, e.Hash, ts, 12, 6), queryVector(t, baseHash, ts, 12, 6), b.String()+" retire")
+		fp, sum := e.Hash.Fingerprint(), e.Hash.TotalBipartitions()
+		e.Release()
+
+		// Retiring a tree that was never added fails before anything is
+		// published, even alongside an add.
+		stranger, _ := testCollection(9, n, 1)
+		if _, err := s.Delta(trees[base:], stranger, nil, true); err == nil {
+			t.Fatalf("%v: retiring a tree never added succeeded", b)
+		}
+		if got := s.Current(); got != 3 {
+			t.Fatalf("%v: failed delta moved the store to epoch %d", b, got)
+		}
+		e, err = s.Pin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Hash.Fingerprint() != fp || e.Hash.TotalBipartitions() != sum {
+			t.Fatalf("%v: failed delta changed the current epoch's hash", b)
+		}
 		e.Release()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/bipart"
 	"repro/internal/newick"
 	"repro/internal/tree"
 )
@@ -125,3 +126,71 @@ func (t *Text) Reset() error { t.pos = 0; return nil }
 
 // Count implements Counter.
 func (t *Text) Count() int { return len(t.stmts) }
+
+// Item is one tree of a collection as a Reader yields it: an unparsed
+// Newick statement when the source hands them out, else a parsed tree.
+type Item struct {
+	stmt string
+	tree *tree.Tree
+	raw  bool
+}
+
+// Splits reduces the item to its canonical splits: ExtractNewick on a
+// statement, which parses and extracts in one scan with no tree in
+// between, and Extract on a tree. Both give the same splits, in the same
+// order, for the same tree.
+func (it Item) Splits(ex *bipart.Extractor) ([]bipart.Bipartition, error) {
+	if it.raw {
+		return ex.ExtractNewick(it.stmt)
+	}
+	return ex.Extract(it.tree)
+}
+
+// Reader reads one pass over a Source in stream order, as raw statements
+// when the source can hand them out and as parsed trees otherwise. It is
+// the one place that chooses: engines hand its items to workers, which
+// reduce each with Item.Splits, so a file's trees are parsed in the
+// workers and an in-memory collection's are not parsed at all.
+type Reader struct {
+	src    Source
+	raw    RawSource // nil when the pass yields parsed trees
+	primed bool      // stmt and err hold the read that chose the mode
+	stmt   string
+	err    error
+}
+
+// NewReader resets src and starts a pass over it. It reads the first raw
+// statement to learn whether the source supports them, and keeps it for
+// Next; on ErrRawUnsupported it resets src again and reads trees.
+func NewReader(src Source) (*Reader, error) {
+	if err := src.Reset(); err != nil {
+		return nil, err
+	}
+	r := &Reader{src: src}
+	if rs, ok := src.(RawSource); ok {
+		stmt, err := rs.NextRaw()
+		if err != ErrRawUnsupported {
+			r.raw, r.primed, r.stmt, r.err = rs, true, stmt, err
+			return r, nil
+		}
+		if err := src.Reset(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// Next returns the next item, or io.EOF after the last.
+func (r *Reader) Next() (Item, error) {
+	if r.raw == nil {
+		t, err := r.src.Next()
+		return Item{tree: t}, err
+	}
+	stmt, err := r.stmt, r.err
+	if r.primed {
+		r.primed = false
+	} else {
+		stmt, err = r.raw.NextRaw()
+	}
+	return Item{stmt: stmt, raw: true}, err
+}

@@ -116,55 +116,30 @@ func (c *commonSink) endTree() {
 }
 
 // scanLeaves streams src once into sinks made by newSink and returns
-// them. A source that hands out raw statements is scanned without
-// building trees, by parallel workers with a sink each: a newick.Scanner
-// over each statement, which validates the full syntax just as parsing
-// would. Any other source is read tree by tree into one sink. src is
-// reset before and after.
+// them, one per worker. Workers take the items of a Reader in stream
+// order: a raw statement is walked by a newick.Scanner, which validates
+// the full syntax just as parsing would, with no tree built; a parsed
+// tree hands over its leaf names. Of several bad trees it reports the
+// first, as a serial scan would. src is reset before and after.
 func scanLeaves(src Source, newSink func() leafSink) ([]leafSink, error) {
-	if err := src.Reset(); err != nil {
-		return nil, err
-	}
-	sinks, err := scanRawLeaves(src, newSink)
-	if err == ErrRawUnsupported {
-		if err = src.Reset(); err == nil {
-			sinks = []leafSink{newSink()}
-			err = scanTreeLeaves(src, sinks[0])
-		}
-	}
+	rd, err := NewReader(src)
 	if err != nil {
 		return nil, err
 	}
-	return sinks, src.Reset()
-}
-
-// scanRawLeaves is scanLeaves over raw statements. It returns
-// ErrRawUnsupported, having started no worker, when src cannot split its
-// input into statements. Of several bad trees it reports the first, as a
-// serial scan would.
-func scanRawLeaves(src Source, newSink func() leafSink) ([]leafSink, error) {
-	rs, ok := src.(RawSource)
-	if !ok {
-		return nil, ErrRawUnsupported
-	}
-	stmt, err := rs.NextRaw()
-	if err == ErrRawUnsupported {
-		return nil, err
-	}
-	count := -1
-	if c, ok := src.(Counter); ok {
-		count = c.Count()
-	}
 	type job struct {
-		idx  int
-		stmt string
+		idx int
+		it  Item
 	}
 	type treeErr struct {
 		idx int
 		err error
 	}
+	count := -1
+	if c, ok := src.(Counter); ok {
+		count = c.Count()
+	}
 	workers := EffectiveWorkers(runtime.GOMAXPROCS(0), count)
-	jobs := make(chan job, workers*4) // a few statements of slack per worker
+	jobs := make(chan job, workers*4) // a few trees of slack per worker
 	sinks := make([]leafSink, workers)
 	errs := make([]treeErr, workers)
 	var wg sync.WaitGroup
@@ -178,7 +153,7 @@ func scanRawLeaves(src Source, newSink func() leafSink) ([]leafSink, error) {
 				// Jobs reach a worker in stream order, so its first error
 				// is its earliest.
 				if te.err == nil {
-					if err := scanStatement(&sc, j.stmt, sink); err != nil {
+					if err := scanItem(&sc, j.it, sink); err != nil {
 						*te = treeErr{j.idx, fmt.Errorf("collection: tree %d: %w", j.idx+1, err)}
 					}
 				}
@@ -186,13 +161,16 @@ func scanRawLeaves(src Source, newSink func() leafSink) ([]leafSink, error) {
 		}(sinks[w], &errs[w])
 	}
 	var feedErr error
-	for i := 0; err != io.EOF; i++ {
+	for i := 0; ; i++ {
+		it, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			feedErr = err
 			break
 		}
-		jobs <- job{i, stmt}
-		stmt, err = rs.NextRaw()
+		jobs <- job{i, it}
 	}
 	close(jobs)
 	wg.Wait()
@@ -204,14 +182,26 @@ func scanRawLeaves(src Source, newSink func() leafSink) ([]leafSink, error) {
 		}
 	}
 	if first != nil {
-		return sinks, first.err
+		return nil, first.err
 	}
-	return sinks, feedErr
+	if feedErr != nil {
+		return nil, feedErr
+	}
+	return sinks, src.Reset()
 }
 
-// scanStatement feeds one raw statement's leaves to sink.
-func scanStatement(sc *newick.Scanner, stmt string, sink leafSink) error {
-	sc.Reset(stmt)
+// scanItem feeds one item's leaves to sink.
+func scanItem(sc *newick.Scanner, it Item, sink leafSink) error {
+	if !it.raw {
+		for _, name := range it.tree.LeafNames() {
+			if err := sink.leaf([]byte(name)); err != nil {
+				return err
+			}
+		}
+		sink.endTree()
+		return nil
+	}
+	sc.Reset(it.stmt)
 	for {
 		ev, err := sc.Next()
 		if err != nil {
@@ -226,25 +216,6 @@ func scanStatement(sc *newick.Scanner, stmt string, sink leafSink) error {
 			sink.endTree()
 			return nil
 		}
-	}
-}
-
-// scanTreeLeaves is scanLeaves over parsed trees.
-func scanTreeLeaves(src Source, sink leafSink) error {
-	for {
-		t, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for _, name := range t.LeafNames() {
-			if err := sink.leaf([]byte(name)); err != nil {
-				return err
-			}
-		}
-		sink.endTree()
 	}
 }
 

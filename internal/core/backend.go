@@ -6,9 +6,9 @@ import (
 	"repro/internal/taxa"
 )
 
-// This file holds the build-phase plumbing shared by the tree-object path
-// (build.go) and the parallel-parse raw path (rawbuild.go): backend
-// resolution, the per-worker accumulator, and the final fold into the hash.
+// This file holds the build-phase plumbing shared by Build's worker pool
+// and BuildSplits: backend resolution, the per-worker accumulator, and the
+// final fold into the hash.
 
 // autoSuccinctKeyBytes is the raw key width (wordsPerKey*8) from which
 // BackendAuto prefers the succinct backend: at 256 bytes per key

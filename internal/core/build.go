@@ -2,15 +2,12 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"runtime"
-	"sync"
 
 	"repro/internal/bipart"
 	"repro/internal/collection"
 	"repro/internal/obs"
 	"repro/internal/taxa"
-	"repro/internal/tree"
 )
 
 // BuildOptions configure the BFH construction phase (the first loop of
@@ -58,78 +55,28 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 	}
 	_, span := obs.StartSpan(nil, SpanBuild)
 	defer span.End()
-	h := &FreqHash{taxa: ts, weighted: true}
-	// Parallel-parse fast path: when the source hands out raw statements,
-	// workers parse as well as extract.
-	if rs, ok := rawCapable(r); ok {
-		if err := buildRaw(rs, ts, opts, h); err != nil {
-			return nil, err
-		}
-		if h.numTrees == 0 {
-			return nil, fmt.Errorf("core: reference collection is empty")
-		}
-		annotateBuildSpan(span, h)
-		return h, nil
+	var accums []*buildAccum
+	p := pool{
+		kind:            "reference",
+		workers:         opts.workers(),
+		taxa:            ts,
+		filter:          opts.Filter,
+		requireComplete: opts.RequireComplete,
 	}
-	if err := r.Reset(); err != nil {
+	_, _, err := p.run(r, func(workers int) {
+		backend, shards := opts.resolveBackendFor(ts.Len()), opts.shardCount(workers)
+		accums = make([]*buildAccum, workers)
+		for w := range accums {
+			accums[w] = newBuildAccum(backend, ts, shards)
+		}
+	}, func(w, _ int, bs []bipart.Bipartition) error {
+		accums[w].add(bs)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	workers := EffectiveWorkers(opts.workers(), sourceLen(r))
-	backend, shards := opts.resolveBackendFor(ts.Len()), opts.shardCount(workers)
-	jobs := make(chan *tree.Tree, workers*2)
-	accums := make([]*buildAccum, workers)
-	errs := make([]error, workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ex := &bipart.Extractor{
-				Taxa:            ts,
-				RequireComplete: opts.RequireComplete,
-				Filter:          opts.Filter,
-				ReuseMasks:      true,
-			}
-			acc := newBuildAccum(backend, ts, shards)
-			for t := range jobs {
-				bs, err := ex.Extract(t)
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = err
-					}
-					continue
-				}
-				acc.add(bs)
-			}
-			accums[w] = acc
-		}(w)
-	}
-
-	var feedErr error
-	for {
-		t, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			feedErr = err
-			break
-		}
-		jobs <- t
-	}
-	close(jobs)
-	wg.Wait()
-
-	if feedErr != nil {
-		return nil, fmt.Errorf("core: reading reference collection: %w", feedErr)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: reference tree: %w", err)
-		}
-	}
+	h := &FreqHash{taxa: ts, weighted: true}
 	bips := h.finishBuild(accums)
 	if h.numTrees == 0 {
 		return nil, fmt.Errorf("core: reference collection is empty")

@@ -8,7 +8,7 @@ import (
 
 // Runtime metrics of the BFHRF core, published into the obs Default
 // registry (served by cmd/bfhrfd's admin /metrics endpoint). The hot
-// paths never touch these per bipartition: build workers and queryOne
+// paths never touch these per bipartition: build and query workers
 // accumulate plain local integers and fold them in with one atomic add
 // per tree, so the instrumentation stays invisible to the perf gate
 // (rfbench -compare BENCH_*.json).

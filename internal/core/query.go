@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/bfhtable"
 	"repro/internal/bipart"
@@ -235,90 +233,36 @@ func (h *FreqHash) AverageRF(q collection.Source, opts QueryOptions) ([]Result, 
 			}()
 		}
 	}
-	// Parallel-parse fast path (see rawbuild.go).
-	if rs, ok := rawCapable(q); ok {
-		return h.averageRFRaw(rs, opts)
+	var probers []*Prober
+	var outs [][]Result
+	p := pool{
+		kind:            "query",
+		workers:         opts.workers(),
+		taxa:            h.taxa,
+		filter:          opts.Filter,
+		requireComplete: opts.RequireComplete,
+		skip:            opts.Skip,
+		cancel:          opts.Cancel,
 	}
-	if err := q.Reset(); err != nil {
+	dispatched, canceled, err := p.run(q, func(workers int) {
+		probers, outs = make([]*Prober, workers), make([][]Result, workers)
+		for w := range probers {
+			probers[w] = h.proberFor(opts)
+		}
+	}, func(w, idx int, bs []bipart.Bipartition) error {
+		avg, err := probers[w].AverageRFOfSplits(bs, opts.Variant)
+		if err != nil {
+			return err
+		}
+		r := Result{Index: idx, AvgRF: avg}
+		if opts.OnResult != nil {
+			opts.OnResult(r)
+		}
+		outs[w] = append(outs[w], r)
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	workers := EffectiveWorkers(opts.workers(), sourceLen(q))
-
-	type job struct {
-		idx int
-		t   *tree.Tree
-	}
-	jobs := make(chan job, workers*2)
-	outs := make([][]Result, workers)
-	errs := make([]error, workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ex := &bipart.Extractor{
-				Taxa:            h.taxa,
-				RequireComplete: opts.RequireComplete,
-				Filter:          opts.Filter,
-				ReuseMasks:      true,
-			}
-			p := h.proberFor(opts)
-			for j := range jobs {
-				avg, err := h.queryOne(j.t, ex, p, opts.Variant)
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = fmt.Errorf("core: query tree %d: %w", j.idx, err)
-					}
-					continue
-				}
-				r := Result{Index: j.idx, AvgRF: avg}
-				if opts.OnResult != nil {
-					opts.OnResult(r)
-				}
-				outs[w] = append(outs[w], r)
-			}
-		}(w)
-	}
-
-	var dispatched []bool
-	canceled := false
-	var feedErr error
-	for !canceled {
-		if opts.Cancel != nil {
-			select {
-			case <-opts.Cancel:
-				canceled = true
-				continue
-			default:
-			}
-		}
-		t, err := q.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			feedErr = err
-			break
-		}
-		idx := len(dispatched)
-		if opts.Skip != nil && opts.Skip(idx) {
-			dispatched = append(dispatched, false)
-			continue
-		}
-		dispatched = append(dispatched, true)
-		jobs <- job{idx: idx, t: t}
-	}
-	close(jobs)
-	wg.Wait()
-
-	if feedErr != nil {
-		return nil, fmt.Errorf("core: reading query collection: %w", feedErr)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return collectResults(outs, dispatched, canceled)
 }
@@ -366,16 +310,11 @@ func (h *FreqHash) AverageRFOne(t *tree.Tree, opts QueryOptions) (float64, error
 		RequireComplete: opts.RequireComplete,
 		Filter:          opts.Filter,
 	}
-	return h.queryOne(t, ex, h.proberFor(opts), opts.Variant)
-}
-
-// queryOne is Algorithm 2's inner body: one tree versus the hash.
-func (h *FreqHash) queryOne(t *tree.Tree, ex *bipart.Extractor, p *Prober, v Variant) (float64, error) {
 	bs, err := ex.Extract(t)
 	if err != nil {
 		return 0, err
 	}
-	return p.AverageRFOfSplits(bs, v)
+	return h.proberFor(opts).AverageRFOfSplits(bs, opts.Variant)
 }
 
 // AverageRFOfSplits computes the average RF of a query tree given its

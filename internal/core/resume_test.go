@@ -118,20 +118,27 @@ func TestQueryCancel(t *testing.T) {
 	h := buildResumeHash(t, 1)
 	cancel := make(chan struct{})
 	close(cancel) // canceled before the first query is fed
-	results, err := h.AverageRF(collection.FromTrees(resumeTestTrees(t)), QueryOptions{
-		Workers: 2,
-		Cancel:  cancel,
-	})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("got %v, want ErrCanceled", err)
-	}
-	if len(results) != 0 {
-		t.Fatalf("pre-canceled run computed %d results", len(results))
+	// In memory the queries are trees; a plain-Newick file hands them out
+	// as raw statements.
+	for _, src := range []collection.Source{
+		collection.FromTrees(resumeTestTrees(t)),
+		writeCollection(t, resumeTestTrees(t)),
+	} {
+		results, err := h.AverageRF(src, QueryOptions{
+			Workers: 2,
+			Cancel:  cancel,
+		})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%T: got %v, want ErrCanceled", src, err)
+		}
+		if len(results) != 0 {
+			t.Fatalf("%T: pre-canceled run computed %d results", src, len(results))
+		}
 	}
 }
 
 func TestQuerySkipRawPath(t *testing.T) {
-	// File-backed plain Newick exercises averageRFRaw.
+	// File-backed plain Newick reaches the workers as raw statements.
 	dir := t.TempDir()
 	path := dir + "/q.nwk"
 	content := "((a,b),(c,d),e);\n((a,c),(b,d),e);\n((a,d),(b,c),e);\n"

@@ -60,6 +60,12 @@ func (h *FreqHash) RemoveTree(t *tree.Tree, filter bipart.Filter, requireComplet
 	if err != nil {
 		return err
 	}
+	return h.RemoveSplits(bs)
+}
+
+// RemoveSplits is RemoveTree for a tree already reduced to its canonical
+// split set. On error the hash is left as it was.
+func (h *FreqHash) RemoveSplits(bs []bipart.Bipartition) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.numTrees == 0 {

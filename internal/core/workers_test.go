@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
@@ -45,3 +46,25 @@ func TestSourceLen(t *testing.T) {
 // nonCounting hides the Counter (and everything else) behind the bare
 // Source interface.
 type nonCounting struct{ collection.Source }
+
+// TestEarliestBadTreeReported: of two bad trees, Build and AverageRF name
+// the earlier one on every run, whichever worker fails first, both for
+// trees in memory and for a file read as raw statements.
+func TestEarliestBadTreeReported(t *testing.T) {
+	trees, ts := randomCollection(41, 12, 600)
+	h := buildHash(t, trees, ts)
+	bad, _ := randomCollection(42, 13, 2) // each has a leaf ts lacks
+	trees[40], trees[500] = bad[0], bad[1]
+	for _, src := range []collection.Source{collection.FromTrees(trees), writeCollection(t, trees)} {
+		for run := 0; run < 25; run++ {
+			_, err := Build(src, ts, BuildOptions{RequireComplete: true, Workers: 4})
+			if err == nil || !strings.HasPrefix(err.Error(), "core: reference tree 40: ") {
+				t.Fatalf("%T: Build error = %v, want one naming reference tree 40", src, err)
+			}
+			_, err = h.AverageRF(src, QueryOptions{RequireComplete: true, Workers: 4})
+			if err == nil || !strings.HasPrefix(err.Error(), "core: query tree 40: ") {
+				t.Fatalf("%T: AverageRF error = %v, want one naming query tree 40", src, err)
+			}
+		}
+	}
+}

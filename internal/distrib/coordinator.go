@@ -423,12 +423,14 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 			return fmt.Errorf("distrib: init worker %d: %w", i, err)
 		}
 	}
-	if err := refs.Reset(); err != nil {
+	rd, err := collection.NewReader(refs)
+	if err != nil {
 		return err
 	}
-	// Each reference tree is extracted once, here; workers fold the
-	// shipped splits with no parse and no extraction. The chunk copies
-	// the words, so the extractor can recycle its masks.
+	// Each reference tree is extracted once, here — from a file's raw
+	// statements, with no tree built; workers fold the shipped splits with
+	// no parse and no extraction. The chunk copies the words, so the
+	// extractor can recycle its masks.
 	ex := &bipart.Extractor{Taxa: ts, RequireComplete: true, ReuseMasks: true}
 	var chunk LoadArgs
 	target := 0
@@ -450,14 +452,14 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 	}
 	total := 0
 	for {
-		t, err := refs.Next()
+		it, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		bs, err := ex.Extract(t)
+		bs, err := it.Splits(ex)
 		if err != nil {
 			return fmt.Errorf("distrib: reference tree %d: %w", total, err)
 		}
@@ -656,7 +658,8 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 		span.SetAttr("workers", c.NumWorkers())
 		span.SetAttr("cache", c.Cache != nil)
 	}
-	if err := queries.Reset(); err != nil {
+	rd, err := collection.NewReader(queries)
+	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{Coverage: 1}
@@ -670,7 +673,8 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 	// Each query tree is extracted once, here: the splits go on the wire
 	// and, with the cache on, into the topology fingerprint. The batch
 	// copies the words, so the extractor can recycle its masks. A tree
-	// the catalogue cannot take is the caller's input error.
+	// the catalogue cannot take, or a raw statement that does not parse,
+	// is the caller's input error.
 	sc := c.scratch()
 	defer c.runs.Put(sc)
 	ex, batch := sc.ex, &sc.batch
@@ -729,7 +733,7 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 			default:
 			}
 		}
-		t, err := queries.Next()
+		it, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
@@ -740,7 +744,7 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 			idx++
 			continue
 		}
-		bs, err := ex.Extract(t)
+		bs, err := it.Splits(ex)
 		if err != nil {
 			return nil, &InputError{Index: idx, Err: err}
 		}
@@ -792,9 +796,10 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 }
 
 // InputError reports a query tree the coordinator cannot reduce to splits
-// over the loaded catalogue — an unknown or duplicate taxon, or a tree
-// that does not cover the catalogue. It is the caller's input, not a
-// worker or transport fault (serve answers it with 400).
+// over the loaded catalogue — an unknown or duplicate taxon, a tree that
+// does not cover the catalogue, or a raw statement that does not parse.
+// It is the caller's input, not a worker or transport fault (serve
+// answers it with 400).
 type InputError struct {
 	// Index is the tree's position in the query collection.
 	Index int

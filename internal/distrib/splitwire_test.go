@@ -3,11 +3,14 @@ package distrib
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"net"
 	"net/rpc"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/collection"
 	"repro/internal/core"
+	"repro/internal/newick"
 	"repro/internal/simphy"
 	"repro/internal/taxa"
 	"repro/internal/tree"
@@ -460,5 +464,67 @@ func BenchmarkCoordinatorQuery8(b *testing.B) {
 		if _, err := coord.AverageRFContext(context.Background(), queries); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// writeNewickFile writes trees as a plain-Newick file and opens it.
+func writeNewickFile(t *testing.T, trees []*tree.Tree) *collection.File {
+	t.Helper()
+	var sb strings.Builder
+	for _, tr := range trees {
+		sb.WriteString(newick.String(tr, newick.DefaultWriteOptions()))
+		sb.WriteByte('\n')
+	}
+	path := filepath.Join(t.TempDir(), "trees.nwk")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := collection.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	return src
+}
+
+// TestFileRunMatchesTreeRun: a coordinator that loads and queries from
+// plain-Newick files, whose statements it reduces to splits with no tree
+// built, answers bit for bit like one fed the same trees in memory; a
+// file query with an unknown taxon is the caller's *InputError, at its
+// index.
+func TestFileRunMatchesTreeRun(t *testing.T) {
+	c := newSplitWireCase(100)
+	run := func(refs, queries collection.Source) (*Outcome, error) {
+		coord, err := Dial(startWorkers(t, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		coord.ChunkSize = 4
+		coord.BatchSize = 5
+		if err := coord.Load(refs, c.ts, false); err != nil {
+			t.Fatal(err)
+		}
+		return coord.AverageRFContext(context.Background(), queries)
+	}
+	want, err := run(collection.FromTrees(c.refs), collection.FromTrees(c.queries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := run(writeNewickFile(t, c.refs), writeNewickFile(t, c.queries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "file run", got.Results, want.Results)
+	if got.Coverage != 1 || got.Partial {
+		t.Errorf("file run: coverage %v, partial %v", got.Coverage, got.Partial)
+	}
+
+	stranger, _ := testCollection(7, 101, 1) // a leaf the catalogue lacks
+	queries := append(append([]*tree.Tree{}, c.queries[:3]...), stranger[0])
+	_, err = run(writeNewickFile(t, c.refs), writeNewickFile(t, queries))
+	var ie *InputError
+	if !errors.As(err, &ie) || ie.Index != 3 {
+		t.Fatalf("unknown-taxon file query: err = %v, want *InputError at index 3", err)
 	}
 }
