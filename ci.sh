@@ -79,6 +79,15 @@ go test -run 'TestCrashAndResume|TestCorruptCheckpointQuarantine|TestResumeRejec
 # byte-identical answers.
 go test -run 'TestSnapshotCrashAndReload|TestDeltaMatchesScratchBuild' -count=1 ./cmd/bfhrf
 
+echo "== go test -race (checkpointed runs: checkpoint.Run, bfhrf and bfhrfd resume) =="
+# One function (internal/checkpoint Run.Query) runs every checkpointed
+# query for the library, bfhrf and the bfhrfd coordinator; its record
+# hook runs on query worker goroutines, so its contract tests and every
+# caller's resume tests run under the race detector.
+go test -race -count=1 \
+  -run '^(TestResum|TestRun|TestCLIBfhrfdCheckpointResume|TestCrashAndResume|TestCorruptCheckpointQuarantine)' \
+  . ./cmd/bfhrf ./internal/checkpoint
+
 echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/newick
 go test -run='^$' -fuzz=FuzzParseMatchesReference -fuzztime=10s ./internal/newick

@@ -61,9 +61,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -632,65 +630,28 @@ func runCoordinator(cfg coordConfig) int {
 	// a batch boundary with in-flight batches folded and the checkpoint
 	// flushed; a second signal cancels ctx, aborting in-flight RPCs.
 	queryPhase.Store(true)
-	ropts := distrib.QueryRunOptions{Cancel: soft}
-	done := map[int]float64{}
-	var w *checkpoint.Writer
-	var ckMu sync.Mutex
-	var ckErr error
-	if cfg.checkpointPath != "" {
-		hdr := checkpoint.Header{Fingerprint: coord.Fingerprint(), Config: cfg.resultKey()}
-		if cfg.resume {
-			var loaded *checkpoint.LoadResult
-			w, loaded, err = checkpoint.Resume(cfg.checkpointPath, hdr)
-			if err != nil {
-				return fail(err)
-			}
-			done = loaded.Done
-			fmt.Fprintf(os.Stderr, "bfhrfd: resuming from %s: %d queries already done\n",
-				cfg.checkpointPath, len(done))
-		} else {
-			w, err = checkpoint.Create(cfg.checkpointPath, hdr)
-			if err != nil {
-				return fail(err)
-			}
-		}
-		defer w.Close()
-		if cfg.checkpointEvery > 0 {
-			w.Interval = cfg.checkpointEvery
-		}
-		ropts.Skip = func(idx int) bool { _, ok := done[idx]; return ok }
-		ropts.OnResult = func(r core.Result) {
-			if err := w.Record(r.Index, r.AvgRF); err != nil {
-				ckMu.Lock()
-				if ckErr == nil {
-					ckErr = err
-				}
-				ckMu.Unlock()
-			}
-		}
+	ck := checkpoint.Run{
+		Path:     cfg.checkpointPath,
+		Resume:   cfg.resume,
+		Interval: cfg.checkpointEvery,
+		Header:   checkpoint.Header{Fingerprint: coord.Fingerprint(), Config: cfg.resultKey()},
+		OnResume: func(done int) {
+			fmt.Fprintf(os.Stderr, "bfhrfd: resuming from %s: %d queries already done\n", cfg.checkpointPath, done)
+		},
 	}
-
-	out, err := coord.AverageRFOpts(ctx, queries, ropts)
+	var out *distrib.Outcome
+	results, err := ck.Query(func(skip func(int) bool, record func(core.Result)) ([]core.Result, error) {
+		var err error
+		out, err = coord.AverageRFOpts(ctx, queries, distrib.QueryRunOptions{Skip: skip, OnResult: record, Cancel: soft})
+		if out == nil {
+			return nil, err
+		}
+		return out.Results, err
+	})
 	// SIGINT/SIGTERM surface either as ErrCanceled (caught at a batch
 	// boundary) or as a context error from an aborted in-flight RPC; both
 	// leave a valid, flushed checkpoint behind.
-	canceled := errors.Is(err, distrib.ErrCanceled) || errors.Is(err, context.Canceled)
-	if err != nil && !canceled {
-		return fail(err)
-	}
-	if w != nil {
-		if flushErr := w.Flush(); flushErr != nil && ckErr == nil {
-			ckErr = flushErr
-		}
-		if ckErr != nil {
-			return fail(fmt.Errorf("checkpointing failed: %w", ckErr))
-		}
-	}
-	results, err := mergeResults(out.Results, done, canceled)
-	if err != nil {
-		return fail(err)
-	}
-	if canceled {
+	if errors.Is(err, distrib.ErrCanceled) || errors.Is(err, context.Canceled) {
 		if cfg.checkpointPath != "" {
 			fmt.Fprintf(os.Stderr, "bfhrfd: interrupted after %d queries; checkpoint %s is valid — rerun with -resume to continue\n",
 				len(results), cfg.checkpointPath)
@@ -698,6 +659,9 @@ func runCoordinator(cfg coordConfig) int {
 			fmt.Fprintf(os.Stderr, "bfhrfd: interrupted after %d queries (no -checkpoint; progress not saved)\n", len(results))
 		}
 		return 130
+	}
+	if err != nil {
+		return fail(err)
 	}
 	var sb strings.Builder
 	for _, r := range results {
@@ -726,34 +690,4 @@ func runCoordinator(cfg coordConfig) int {
 		"alive", coord.AliveWorkers(), "failovers", out.Failovers,
 		"partial", out.Partial, "coverage", out.Coverage)
 	return 0
-}
-
-// mergeResults folds checkpoint-restored averages into freshly computed
-// ones and verifies the combined set is a contiguous 0..n-1 range (unless
-// the run was canceled, where gaps are expected). A checkpoint record
-// beyond the query count — stale state from a different query file —
-// fails loudly rather than folding in silently.
-func mergeResults(computed []core.Result, done map[int]float64, canceled bool) ([]core.Result, error) {
-	out := make([]core.Result, 0, len(computed)+len(done))
-	seen := make(map[int]bool, len(computed)+len(done))
-	for _, r := range computed {
-		out = append(out, r)
-		seen[r.Index] = true
-	}
-	for idx, avg := range done {
-		if seen[idx] {
-			continue
-		}
-		out = append(out, core.Result{Index: idx, AvgRF: avg})
-		seen[idx] = true
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	if !canceled {
-		for i, r := range out {
-			if r.Index != i {
-				return nil, fmt.Errorf("result set is not contiguous at query %d (found index %d) — stale checkpoint for a different query file?", i, r.Index)
-			}
-		}
-	}
-	return out, nil
 }

@@ -89,7 +89,7 @@ func (h *Hash) AverageRFFile(queryPath string) ([]Result, error) {
 		return nil, err
 	}
 	defer q.Close()
-	return query(h.h, q, h.cfg)
+	return query(h.h, q, h.cfg, RunOptions{})
 }
 
 // AverageRFNewick computes average distances for query Newick strings.
@@ -98,7 +98,7 @@ func (h *Hash) AverageRFNewick(queries []string) ([]Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: query: %w", err)
 	}
-	return query(h.h, q, h.cfg)
+	return query(h.h, q, h.cfg, RunOptions{})
 }
 
 // AverageRFOne computes the average distance of a single Newick tree.

@@ -315,7 +315,7 @@ func TestNewickEntryPointsMatchTreePath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := query(h.h, parse(queries), cfg)
+			want, err := query(h.h, parse(queries), cfg, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -63,8 +63,12 @@ type Manifest struct {
 	Shards     int    `json:"shards"`
 	// Fingerprint is core.FreqHash.Fingerprint for table layout and the
 	// coordinator's collection fingerprint for worker layout.
-	Fingerprint uint64         `json:"fingerprint"`
-	Parts       []ManifestPart `json:"parts"`
+	Fingerprint uint64 `json:"fingerprint"`
+	// Digest is the worker layout's bipartition content digest, which
+	// its fingerprint folds in (0 in table layout, and in worker-layout
+	// epochs written before the digest existed).
+	Digest uint64         `json:"digest,omitempty"`
+	Parts  []ManifestPart `json:"parts"`
 }
 
 // ManifestPart names one part file and the shard range it carries

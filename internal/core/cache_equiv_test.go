@@ -127,8 +127,8 @@ func TestCacheEquivalenceWall(t *testing.T) {
 			}
 			for _, v := range variants {
 				crossBaseline[v] = equivAnswers(t, hashes[BackendOpenAddressing], qs, QueryOptions{
-					RequireComplete: true, Variant: v, Probe: ProbeScalar,
-				})
+					RequireComplete: true, Variant: v,
+				}, ProbeScalar)
 			}
 
 			backendBaseline := map[Backend]map[Variant][]float64{}
@@ -139,17 +139,17 @@ func TestCacheEquivalenceWall(t *testing.T) {
 					base = make(map[Variant][]float64)
 					for _, v := range variants {
 						base[v] = equivAnswers(t, h, qs, QueryOptions{
-							RequireComplete: true, Variant: v, Probe: ProbeScalar,
-						})
+							RequireComplete: true, Variant: v,
+						}, ProbeScalar)
 					}
 					backendBaseline[cfg.backend] = base
 				}
 				for _, v := range variants {
-					opts := QueryOptions{RequireComplete: true, Variant: v, Probe: cfg.probe}
+					opts := QueryOptions{RequireComplete: true, Variant: v}
 					if cfg.cached {
 						opts.Cache = NewQueryCache(0, 0)
 					}
-					got := equivAnswers(t, h, qs, opts)
+					got := equivAnswers(t, h, qs, opts, cfg.probe)
 					for i := range got {
 						if math.Float64bits(got[i]) != math.Float64bits(base[v][i]) {
 							t.Fatalf("%s/%v: query %d = %v (bits %x), backend scalar baseline %v (bits %x)",
@@ -177,12 +177,12 @@ func TestCacheEquivalenceWall(t *testing.T) {
 	}
 }
 
-// equivAnswers runs the query mix through one prober configuration and
-// returns the answers in query order.
-func equivAnswers(t *testing.T, h *FreqHash, qs []*tree.Tree, opts QueryOptions) []float64 {
+// equivAnswers runs the query mix through one prober configuration,
+// forced onto probe path probe, and returns the answers in query order.
+func equivAnswers(t *testing.T, h *FreqHash, qs []*tree.Tree, opts QueryOptions, probe ProbeMode) []float64 {
 	t.Helper()
 	ex := &bipart.Extractor{Taxa: h.taxa, RequireComplete: true}
-	p := h.proberFor(opts)
+	p := h.proberWith(opts, probe)
 	out := make([]float64, len(qs))
 	for i, q := range qs {
 		bs, err := ex.Extract(q)

@@ -55,41 +55,29 @@ func (v Variant) String() string {
 // fires; the results computed so far accompany it.
 var ErrCanceled = errors.New("core: query canceled")
 
-// ProbeMode selects how a prober walks the open-addressing table.
-type ProbeMode int
+// probeMode selects how a prober walks the open-addressing table.
+// Production probers always run probeAuto; the forced paths are the
+// references the equivalence tests hold it to.
+type probeMode int
 
 const (
-	// ProbeAuto (the default) probes scalar for small bipartition sets
-	// or cache-resident tables, and switches to shard-ordered batches
-	// from probeBatchMin splits once the table's footprint exceeds
+	// probeAuto probes scalar for small bipartition sets or
+	// cache-resident tables, and switches to shard-ordered batches from
+	// probeBatchMin splits once the table's footprint exceeds
 	// probeBatchTableMin (locality only pays when probes miss cache).
-	ProbeAuto ProbeMode = iota
-	// ProbeScalar forces the per-bipartition probe loop.
-	ProbeScalar
-	// ProbeBatched forces shard-ordered batched probing.
-	ProbeBatched
+	probeAuto probeMode = iota
+	// probeScalar forces the per-bipartition probe loop.
+	probeScalar
+	// probeBatched forces shard-ordered batched probing.
+	probeBatched
 )
 
-// String names the probe mode for diagnostics.
-func (m ProbeMode) String() string {
-	switch m {
-	case ProbeAuto:
-		return "auto"
-	case ProbeScalar:
-		return "scalar"
-	case ProbeBatched:
-		return "batched"
-	default:
-		return fmt.Sprintf("ProbeMode(%d)", int(m))
-	}
-}
-
-// probeBatchMin is the bipartition count from which ProbeAuto batches:
+// probeBatchMin is the bipartition count from which probeAuto batches:
 // below it the counting sort's fixed cost beats the locality win.
 const probeBatchMin = 16
 
 // probeBatchTableMin is the open-addressing footprint from which
-// ProbeAuto batches. Shard-ordered probing only pays when scattered
+// probeAuto batches. Shard-ordered probing only pays when scattered
 // probes miss the CPU caches; below this size the whole table is
 // cache-resident, every probe is cheap regardless of order, and the
 // batch's scratch fill plus counting sort is pure overhead (measured
@@ -110,13 +98,13 @@ type Prober struct {
 	// of the scalar fill, the encoded-key buffer of the succinct backend,
 	// and the batches of the shard-ordered fill).
 	cache   *QueryCache
-	probe   ProbeMode
+	probe   probeMode
 	fp      fingerprinter
 	entries []entry
 	buf     []byte
 	batch   bfhtable.ProbeBatch
 	sbatch  bfhtable.SuccinctBatch
-	// autoBatch memoizes ProbeAuto's table-footprint decision:
+	// autoBatch memoizes probeAuto's table-footprint decision:
 	// 0 undecided, +1 batch, -1 scalar (see Prober.batchAuto).
 	autoBatch int8
 }
@@ -125,7 +113,7 @@ type Prober struct {
 // automatic probe-path selection.
 func (h *FreqHash) NewProber() *Prober { return &Prober{h: h} }
 
-// batchAuto reports whether ProbeAuto should take the batched path,
+// batchAuto reports whether probeAuto should take the batched path,
 // deciding once per prober from the active table's footprint. Probers
 // are created per query pass, so a table growing across passes (AddTree)
 // re-evaluates naturally.
@@ -173,8 +161,6 @@ type QueryOptions struct {
 	// branch lengths, which the topology fingerprint ignores; Info always
 	// recomputes). Cached answers are bit-identical to recomputation.
 	Cache *QueryCache
-	// Probe selects the probe path (ProbeAuto by default).
-	Probe ProbeMode
 }
 
 func (o QueryOptions) workers() int {
@@ -184,21 +170,17 @@ func (o QueryOptions) workers() int {
 	return o.Workers
 }
 
-// proberFor returns a prober carrying the options' cache and probe mode.
+// proberFor returns a prober carrying the options' cache.
 // The cache may be shared across probers (it locks internally); the
 // prober itself remains single-goroutine state.
 func (h *FreqHash) proberFor(opts QueryOptions) *Prober {
 	p := h.NewProber()
 	p.cache = opts.Cache
-	p.probe = opts.Probe
 	return p
 }
 
 // SetCache attaches (or, with nil, detaches) a shared query-result cache.
 func (p *Prober) SetCache(c *QueryCache) { p.cache = c }
-
-// SetProbeMode selects the probe path for subsequent queries.
-func (p *Prober) SetProbeMode(m ProbeMode) { p.probe = m }
 
 // Result is the average distance of one query tree to the reference
 // collection.
@@ -220,7 +202,6 @@ func (h *FreqHash) AverageRF(q collection.Source, opts QueryOptions) ([]Result, 
 	defer span.End()
 	if span.Recorded() {
 		span.SetAttr("variant", opts.Variant)
-		span.SetAttr("probe", opts.Probe)
 		span.SetAttr("fingerprint", fmt.Sprintf("%016x", h.Fingerprint()))
 		span.SetAttr("cache", opts.Cache != nil)
 		if opts.Cache != nil {
@@ -383,15 +364,15 @@ func tally(es []entry) (hits int64, misses int) {
 // fill is the probe pass: the stored record of every bipartition of bs,
 // in bs's order (zero records for misses). The engine dispatch runs once
 // per call. Small sets and cache-resident tables probe scalar; otherwise
-// (per the prober's ProbeMode) keys are loaded into the batch scratch —
+// (per the prober's probeMode) keys are loaded into the batch scratch —
 // raw words for open addressing, compressed encodings for succinct — and
 // probed in shard-then-slot order for locality. Both paths return the
 // same records in the same order, so every fold over them is
 // bit-identical. The slice is scratch owned by the prober, valid until
 // the next fill.
 func (p *Prober) fill(bs []bipart.Bipartition) []entry {
-	batched := p.probe == ProbeBatched ||
-		(p.probe == ProbeAuto && len(bs) >= probeBatchMin && p.batchAuto())
+	batched := p.probe == probeBatched ||
+		(p.probe == probeAuto && len(bs) >= probeBatchMin && p.batchAuto())
 	if batched {
 		mProbeBatchSize.Observe(float64(len(bs)))
 	}

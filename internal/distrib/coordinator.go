@@ -54,9 +54,12 @@ type Coordinator struct {
 	// sum and r are the folded global totals, fixed after Load.
 	sum uint64
 	r   int
-	// fp is the reference-collection fingerprint, fixed after Load (see
-	// Fingerprint).
-	fp uint64
+	// digest is the wrapping sum of every reference bipartition's mask
+	// hash: the collection's content, independent of tree order and of
+	// how the trees are sharded. fp is the reference-collection
+	// fingerprint. Both are fixed after Load (see Fingerprint).
+	digest uint64
+	fp     uint64
 	// ChunkSize is the number of reference trees per Load RPC (default 512).
 	ChunkSize int
 	// BatchSize is the number of query trees per Query RPC (default 256).
@@ -451,6 +454,7 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 		return nil
 	}
 	total := 0
+	c.digest = 0
 	for {
 		it, err := rd.Next()
 		if err == io.EOF {
@@ -464,6 +468,9 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 			return fmt.Errorf("distrib: reference tree %d: %w", total, err)
 		}
 		chunk.add(bs)
+		for _, b := range bs {
+			c.digest += b.Hash()
+		}
 		total++
 		if len(chunk.Ends) >= c.chunkSize() {
 			if err := flush(); err != nil {
@@ -483,7 +490,7 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 	if c.r != total {
 		return fmt.Errorf("distrib: workers report %d trees, loaded %d", c.r, total)
 	}
-	c.fp = fingerprint(ts, c.r, c.sum)
+	c.fp = fingerprint(ts, c.r, c.sum, c.digest)
 	if err := c.checkpoint(ctx); err != nil {
 		return err
 	}
@@ -556,10 +563,12 @@ func (c *Coordinator) batchSize() int {
 }
 
 // Fingerprint identifies the loaded reference collection: an FNV-1a hash
-// over the taxon catalogue, the tree count and the folded bipartition
-// mass. Valid after Load; resumable runs store it in their checkpoint
-// header so a checkpoint can never silently resume against different
-// references. (The local core.FreqHash fingerprint also folds in the
+// over the taxon catalogue, the tree count, the folded bipartition mass
+// and the bipartition content digest. (Tree count and mass alone cannot
+// tell two collections of binary trees on the same taxa apart: every
+// such tree has n-3 splits.) Valid after Load; resumable runs store it
+// in their checkpoint header so a checkpoint can never silently resume
+// against different references. (The local core.FreqHash fingerprint also folds in the
 // global unique-bipartition count, which shards cannot provide, so the
 // two schemes are deliberately distinct: a single-node checkpoint does
 // not resume a distributed run, or vice versa.)
@@ -577,7 +586,10 @@ func (c *Coordinator) TaxaLen() int {
 	return c.taxa.Len()
 }
 
-func fingerprint(ts *taxa.Set, trees int, sum uint64) uint64 {
+// fingerprint folds the collection's identity. A zero digest is not
+// mixed in, so worker-layout epochs written before the digest existed
+// keep the fingerprint their MANIFEST declares.
+func fingerprint(ts *taxa.Set, trees int, sum, digest uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -597,6 +609,9 @@ func fingerprint(ts *taxa.Set, trees int, sum uint64) uint64 {
 	}
 	mixU64(uint64(trees))
 	mixU64(sum)
+	if digest != 0 {
+		mixU64(digest)
+	}
 	return fp
 }
 

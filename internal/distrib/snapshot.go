@@ -208,10 +208,18 @@ func mergeHashes(a, b *core.FreqHash) (*core.FreqHash, error) {
 			return nil, fmt.Errorf("distrib: cannot merge shards: catalogues disagree at position %d (%q vs %q)", i, an[i], bn[i])
 		}
 	}
+	// Weighted means every bipartition carried a length, so it holds
+	// for the merge only if it holds for every shard that holds trees.
+	weighted := true
+	for _, h := range []*core.FreqHash{a, b} {
+		if h.NumTrees() > 0 {
+			weighted = weighted && h.Weighted()
+		}
+	}
 	rest, err := core.NewRestorer(core.RestoreSpec{
 		Taxa:       a.Taxa(),
 		NumTrees:   a.NumTrees() + b.NumTrees(),
-		Weighted:   a.Weighted() || b.Weighted(),
+		Weighted:   weighted,
 		Backend:    a.Backend(),
 		HashShards: a.NumShards(),
 	})
@@ -263,10 +271,13 @@ func (c *Coordinator) SaveSnapshotsContext(ctx context.Context, dir string) (int
 		Taxa:        c.taxa.Len(),
 		Shards:      c.HashShards,
 		Fingerprint: c.fp,
+		Digest:      c.digest,
+		Weighted:    true,
 	}
 	// Shard count and weighted totals are worker-side facts;
 	// each writer folds its part's header into the manifest as it streams
-	// (PublishWorkerEpoch runs writers before serializing MANIFEST).
+	// (PublishWorkerEpoch runs writers before serializing MANIFEST). Every
+	// part holds trees, and the epoch is weighted only if each part is.
 	var lenSum float64
 	writers := make([]func(io.Writer) error, 0, len(workers))
 	for _, i := range workers {
@@ -281,7 +292,7 @@ func (c *Coordinator) SaveSnapshotsContext(ctx context.Context, dir string) (int
 				return fmt.Errorf("distrib: worker %d snapshot: %w", i, err)
 			}
 			man.Shards = hdr.Shards
-			man.Weighted = man.Weighted || hdr.Weighted
+			man.Weighted = man.Weighted && hdr.Weighted
 			lenSum += hdr.LenSum
 			man.LenSumBits = math.Float64bits(lenSum)
 			if _, err := w.Write(reply.Data); err != nil {
@@ -385,7 +396,8 @@ func (c *Coordinator) LoadSnapshotContext(ctx context.Context, dir string) error
 	if man.Trees != 0 && c.r != man.Trees {
 		return fmt.Errorf("distrib: restored cluster holds %d trees, epoch %d declares %d", c.r, cur, man.Trees)
 	}
-	c.fp = fingerprint(ts, c.r, c.sum)
+	c.digest = man.Digest
+	c.fp = fingerprint(ts, c.r, c.sum, c.digest)
 	if man.Fingerprint != 0 && c.fp != man.Fingerprint {
 		return fmt.Errorf("distrib: restored fingerprint %016x, epoch %d declares %016x", c.fp, cur, man.Fingerprint)
 	}

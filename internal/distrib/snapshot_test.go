@@ -5,8 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bfhsnap"
 	"repro/internal/collection"
 	"repro/internal/core"
+	"repro/internal/tree"
 )
 
 // TestSnapshotRoundTrip: encode→decode must reproduce an observationally
@@ -243,5 +245,118 @@ func TestInitBackendSelection(t *testing.T) {
 			t.Errorf("worker built %v hash, want %v", h.Backend(), backend)
 		}
 		coord.Close()
+	}
+}
+
+// withLengths clones trees, setting every branch length (on) or clearing
+// every one (off).
+func withLengths(trees []*tree.Tree, on bool) []*tree.Tree {
+	out := make([]*tree.Tree, len(trees))
+	for i, tr := range trees {
+		c := tr.Clone()
+		c.Postorder(func(nd *tree.Node) {
+			nd.Length, nd.HasLength = 0, false
+			if on && nd.Parent != nil {
+				nd.Length, nd.HasLength = 0.5, true
+			}
+		})
+		out[i] = c
+	}
+	return out
+}
+
+// TestMergeHashesWeightedNeedsEveryShard: a weighted hash claims a length
+// on every bipartition, so merging one shard with lengths and one without
+// must yield an unweighted hash, in either order.
+func TestMergeHashesWeightedNeedsEveryShard(t *testing.T) {
+	trees, ts := testCollection(29, 12, 20)
+	build := func(trees []*tree.Tree) *core.FreqHash {
+		h, err := core.Build(collection.FromTrees(trees), ts, core.BuildOptions{RequireComplete: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	weighted, plain := build(withLengths(trees[:10], true)), build(withLengths(trees[10:], false))
+	if !weighted.Weighted() || plain.Weighted() {
+		t.Fatalf("fixture: Weighted() = %v / %v, want true / false", weighted.Weighted(), plain.Weighted())
+	}
+	for _, c := range []struct {
+		name string
+		a, b *core.FreqHash
+		want bool
+	}{
+		{"weighted+plain", weighted, plain, false},
+		{"plain+weighted", plain, weighted, false},
+		{"weighted+weighted", weighted, weighted, true},
+	} {
+		m, err := mergeHashes(c.a, c.b)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if m.Weighted() != c.want {
+			t.Errorf("%s: merged Weighted() = %v, want %v", c.name, m.Weighted(), c.want)
+		}
+	}
+}
+
+// TestClusterSnapshotWeightedManifest: a worker-layout epoch whose parts
+// disagree on branch lengths must not claim lengths in its MANIFEST.
+func TestClusterSnapshotWeightedManifest(t *testing.T) {
+	trees, ts := testCollection(31, 12, 20)
+	// ChunkSize 10 over two workers: worker 0 holds the weighted half,
+	// worker 1 the unweighted one.
+	mixed := append(withLengths(trees[:10], true), withLengths(trees[10:], false)...)
+	coord, err := Dial(startWorkers(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.ChunkSize = 10
+	if err := coord.Load(collection.FromTrees(mixed), ts, false); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	epoch, err := coord.SaveSnapshotsContext(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := bfhsnap.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.Manifest(epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Weighted {
+		t.Error("MANIFEST claims branch lengths that one part does not have")
+	}
+}
+
+// TestFingerprintTracksContent: two collections of binary trees on the
+// same taxa have the same tree count and bipartition mass, so only the
+// content digest tells them apart; the cluster's shape must not matter.
+func TestFingerprintTracksContent(t *testing.T) {
+	trees, ts := testCollection(37, 12, 30)
+	other, _ := testCollection(38, 12, 30)
+	fp := func(trees []*tree.Tree, workers, chunk int) uint64 {
+		coord, err := Dial(startWorkers(t, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		coord.ChunkSize = chunk
+		if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
+			t.Fatal(err)
+		}
+		return coord.Fingerprint()
+	}
+	base := fp(trees, 2, 7)
+	if got := fp(trees, 3, 4); got != base {
+		t.Errorf("cluster shape changed the fingerprint: %016x vs %016x", got, base)
+	}
+	if got := fp(other, 2, 7); got == base {
+		t.Errorf("different references share fingerprint %016x", got)
 	}
 }

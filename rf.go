@@ -235,7 +235,7 @@ func averageRF(q, r collection.Source, cfg Config) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return query(h, qsrc, cfg)
+	return query(h, qsrc, cfg, RunOptions{})
 }
 
 func prepare(q, r collection.Source, cfg Config) (*core.FreqHash, collection.Source, error) {
@@ -266,28 +266,6 @@ func prepare(q, r collection.Source, cfg Config) (*core.FreqHash, collection.Sou
 		return nil, nil, err
 	}
 	return h, q, nil
-}
-
-func query(h *core.FreqHash, q collection.Source, cfg Config) ([]Result, error) {
-	v, err := cfg.variant()
-	if err != nil {
-		return nil, err
-	}
-	res, err := h.AverageRF(q, core.QueryOptions{
-		Workers:         cfg.Workers,
-		Filter:          cfg.filter(h.Taxa().Len()),
-		Variant:         v,
-		RequireComplete: true,
-		Cache:           cfg.queryCache(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{Index: r.Index, AvgRF: r.AvgRF}
-	}
-	return out, nil
 }
 
 // PairwiseRF returns the exact RF distance between two Newick trees on the

@@ -7,10 +7,7 @@ package repro
 // uninterrupted one.
 
 import (
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/collection"
@@ -76,7 +73,7 @@ func AverageRFFilesResumable(queryPath, refPath string, cfg Config, run RunOptio
 	if err != nil {
 		return nil, err
 	}
-	return resumableQuery(h, qsrc, cfg, run)
+	return query(h, qsrc, cfg, run)
 }
 
 // AverageRFFileResumable runs the query file against this hash with the
@@ -89,120 +86,45 @@ func (h *Hash) AverageRFFileResumable(queryPath string, run RunOptions) ([]Resul
 		return nil, err
 	}
 	defer q.Close()
-	return resumableQuery(h.h, q, h.cfg, run)
+	return query(h.h, q, h.cfg, run)
 }
 
-// resumableQuery is the checkpoint-wired query loop shared by the
-// file-pair entry point and the prebuilt-hash method.
-func resumableQuery(h *core.FreqHash, qsrc collection.Source, cfg Config, run RunOptions) ([]Result, error) {
+// query answers every tree of q against h — the one query path behind
+// every file and in-memory entry point. checkpoint.Run owns
+// create/resume, skip, record, flush and merge; with no checkpoint path
+// it runs h.AverageRF once, as is.
+func query(h *core.FreqHash, q collection.Source, cfg Config, run RunOptions) ([]Result, error) {
 	v, err := cfg.variant()
 	if err != nil {
 		return nil, err
 	}
-	opts := core.QueryOptions{
-		Workers:         cfg.Workers,
-		Filter:          cfg.filter(h.Taxa().Len()),
-		Variant:         v,
-		RequireComplete: true,
-		Cancel:          run.Cancel,
-		Cache:           cfg.queryCache(),
+	ck := checkpoint.Run{
+		Path:     run.CheckpointPath,
+		Resume:   run.Resume,
+		Interval: run.CheckpointInterval,
+		OnResume: run.OnResume,
 	}
-
-	done := map[int]float64{}
-	var w *checkpoint.Writer
-	if run.CheckpointPath != "" {
-		hdr := checkpoint.Header{Fingerprint: h.Fingerprint(), Config: cfg.resultKey()}
-		if run.Resume {
-			var loaded *checkpoint.LoadResult
-			w, loaded, err = checkpoint.Resume(run.CheckpointPath, hdr)
-			if err != nil {
-				return nil, err
-			}
-			done = loaded.Done
-			if run.OnResume != nil {
-				run.OnResume(len(done))
-			}
-		} else {
-			w, err = checkpoint.Create(run.CheckpointPath, hdr)
-			if err != nil {
-				return nil, err
-			}
-		}
-		defer w.Close()
-		if run.CheckpointInterval > 0 {
-			w.Interval = run.CheckpointInterval
-		}
-		opts.Skip = func(idx int) bool { _, ok := done[idx]; return ok }
-
-		var ckMu sync.Mutex
-		var ckErr error
-		opts.OnResult = func(res core.Result) {
-			if err := w.Record(res.Index, res.AvgRF); err != nil {
-				ckMu.Lock()
-				if ckErr == nil {
-					ckErr = err
-				}
-				ckMu.Unlock()
-			}
-		}
-		results, err := h.AverageRF(qsrc, opts)
-		canceled := errors.Is(err, core.ErrCanceled)
-		if err != nil && !canceled {
-			return nil, err
-		}
-		if flushErr := w.Flush(); flushErr != nil && ckErr == nil {
-			ckErr = flushErr
-		}
-		if ckErr != nil {
-			return nil, fmt.Errorf("repro: checkpointing failed: %w", ckErr)
-		}
-		merged, mergeErr := mergeResults(results, done, canceled)
-		if mergeErr != nil {
-			return nil, mergeErr
-		}
-		if canceled {
-			return merged, ErrCanceled
-		}
-		return merged, nil
+	if ck.Path != "" {
+		ck.Header = checkpoint.Header{Fingerprint: h.Fingerprint(), Config: cfg.resultKey()}
 	}
-
-	results, err := h.AverageRF(qsrc, opts)
-	if err != nil && !errors.Is(err, core.ErrCanceled) {
+	res, err := ck.Query(func(skip func(int) bool, record func(core.Result)) ([]core.Result, error) {
+		return h.AverageRF(q, core.QueryOptions{
+			Workers:         cfg.Workers,
+			Filter:          cfg.filter(h.Taxa().Len()),
+			Variant:         v,
+			RequireComplete: true,
+			Skip:            skip,
+			OnResult:        record,
+			Cancel:          run.Cancel,
+			Cache:           cfg.queryCache(),
+		})
+	})
+	if res == nil && err != nil {
 		return nil, err
 	}
-	merged, mergeErr := mergeResults(results, nil, errors.Is(err, core.ErrCanceled))
-	if mergeErr != nil {
-		return nil, mergeErr
+	out := make([]Result, len(res))
+	for i, r := range res {
+		out[i] = Result{Index: r.Index, AvgRF: r.AvgRF}
 	}
-	return merged, err
-}
-
-// mergeResults folds checkpoint-restored averages into freshly computed
-// ones and verifies the combined set is a contiguous 0..n-1 range (unless
-// the run was canceled, in which case gaps are expected). A checkpoint
-// record beyond the query count — stale state from a different query
-// file — fails loudly rather than folding in silently.
-func mergeResults(computed []core.Result, done map[int]float64, canceled bool) ([]Result, error) {
-	out := make([]Result, 0, len(computed)+len(done))
-	seen := make(map[int]bool, len(computed)+len(done))
-	for _, r := range computed {
-		out = append(out, Result{Index: r.Index, AvgRF: r.AvgRF})
-		seen[r.Index] = true
-	}
-	for idx, avg := range done {
-		if seen[idx] {
-			continue
-		}
-		out = append(out, Result{Index: idx, AvgRF: avg})
-		seen[idx] = true
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	if !canceled {
-		for i, r := range out {
-			if r.Index != i {
-				return nil, fmt.Errorf("repro: result set is not contiguous at query %d (found index %d) — stale checkpoint for a different query file?", i, r.Index)
-			}
-		}
-	}
-	return out, nil
+	return out, err
 }
