@@ -88,6 +88,14 @@ go test -race -count=1 \
   -run '^(TestResum|TestRun|TestCLIBfhrfdCheckpointResume|TestCrashAndResume|TestCorruptCheckpointQuarantine)' \
   . ./cmd/bfhrf ./internal/checkpoint
 
+echo "== go test -race (one cancellation signal: cancel, deadline, drain, stitched traces, signals) =="
+# The caller's context is the one stop signal from the HTTP handler and
+# the CLIs down to core's worker pool, and it carries the request's trace;
+# bfhrfd's soft drain is the one channel left. Run every path that stops
+# a query early, and the trace stitching the same context carries.
+go test -race -count=1 -run 'Cancel|Deadline|Drain|Stitched|Signal' \
+  ./internal/core ./internal/distrib ./internal/serve ./internal/checkpoint ./cmd/bfhrf .
+
 echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/newick
 go test -run='^$' -fuzz=FuzzParseMatchesReference -fuzztime=10s ./internal/newick

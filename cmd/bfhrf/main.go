@@ -18,8 +18,9 @@
 //
 // Long runs survive interruption: -checkpoint streams each result to a
 // checksummed record file as it is computed, SIGINT/SIGTERM flush it
-// before exit, and -resume skips the already-recorded query trees after
-// verifying the checkpoint matches the current reference collection.
+// before exit (a second signal kills the run at once), and -resume skips
+// the already-recorded query trees after verifying the checkpoint
+// matches the current reference collection.
 //
 // Hostile or damaged inputs are handled explicitly: -skip-bad-trees
 // records a diagnostic per malformed tree and continues, while -max-taxa,
@@ -36,6 +37,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -198,35 +200,33 @@ func run(o *cliOptions) int {
 		return annotateMode(o.annotate, o.refPath, o.cfg)
 	}
 
-	// SIGINT/SIGTERM cancel the run gracefully: in-flight queries drain
-	// and the checkpoint is flushed before exit.
-	cancel := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	go func() {
-		if _, ok := <-sigs; ok {
-			fmt.Fprintln(os.Stderr, "bfhrf: interrupted; flushing checkpoint…")
-			close(cancel)
-		}
-	}()
+	// The first SIGINT/SIGTERM cancels the run gracefully: in-flight
+	// queries drain and the checkpoint is flushed before exit. It also
+	// restores the default disposition, so a second signal kills a run
+	// stuck in a long build or a stalled flush.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	defer context.AfterFunc(ctx, func() {
+		stop()
+		fmt.Fprintln(os.Stderr, "bfhrf: interrupted; flushing checkpoint…")
+	})()
 
 	if o.loadDir != "" || o.saveDir != "" {
-		return snapshotMode(o, cancel)
+		return snapshotMode(ctx, o)
 	}
 
-	results, err := repro.AverageRFFilesResumable(q, o.refPath, o.cfg, runOptions(o, cancel))
+	results, err := repro.AverageRFFilesResumable(q, o.refPath, o.cfg, runOptions(ctx, o))
 	return finish(o, results, err)
 }
 
 // runOptions builds the checkpoint/cancel wiring shared by the build-
 // and-query path and the snapshot modes.
-func runOptions(o *cliOptions, cancel <-chan struct{}) repro.RunOptions {
+func runOptions(ctx context.Context, o *cliOptions) repro.RunOptions {
 	return repro.RunOptions{
 		CheckpointPath:     o.checkpointPath,
 		CheckpointInterval: o.checkpointEvery,
 		Resume:             o.resume,
-		Cancel:             cancel,
+		Context:            ctx,
 		OnResume: func(done int) {
 			fmt.Fprintf(os.Stderr, "bfhrf: resuming from %s: %d queries already done\n", o.checkpointPath, done)
 		},
@@ -237,7 +237,7 @@ func runOptions(o *cliOptions, cancel <-chan struct{}) repro.RunOptions {
 // fresh build (save) or from the snapshot store (load, optionally with a
 // delta publish), and any requested queries then run against it without
 // a rebuild.
-func snapshotMode(o *cliOptions, cancel <-chan struct{}) int {
+func snapshotMode(ctx context.Context, o *cliOptions) int {
 	var h *repro.Hash
 	var err error
 	switch {
@@ -280,13 +280,13 @@ func snapshotMode(o *cliOptions, cancel <-chan struct{}) int {
 		}
 		return 0
 	}
-	results, err := h.AverageRFFileResumable(q, runOptions(o, cancel))
+	results, err := h.AverageRFFileResumable(q, runOptions(ctx, o))
 	return finish(o, results, err)
 }
 
 // finish reports a completed (or interrupted) query run.
 func finish(o *cliOptions, results []repro.Result, err error) int {
-	if errors.Is(err, repro.ErrCanceled) {
+	if errors.Is(err, context.Canceled) {
 		if o.checkpointPath != "" {
 			fmt.Fprintf(os.Stderr, "bfhrf: interrupted after %d queries; checkpoint %s is valid — rerun with -resume to continue\n",
 				len(results), o.checkpointPath)

@@ -492,6 +492,8 @@ func runCoordinator(cfg coordConfig) int {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 	go func() {
+		// Once this handler gives up, a further signal kills the process.
+		defer signal.Stop(sig)
 		softClosed := false
 		for s := range sig {
 			if !queryPhase.Load() {
@@ -648,10 +650,10 @@ func runCoordinator(cfg coordConfig) int {
 		}
 		return out.Results, err
 	})
-	// SIGINT/SIGTERM surface either as ErrCanceled (caught at a batch
-	// boundary) or as a context error from an aborted in-flight RPC; both
-	// leave a valid, flushed checkpoint behind.
-	if errors.Is(err, distrib.ErrCanceled) || errors.Is(err, context.Canceled) {
+	// SIGINT/SIGTERM surface as context.Canceled, whether caught at a
+	// batch boundary (the soft drain) or from an aborted in-flight RPC;
+	// both leave a valid, flushed checkpoint behind.
+	if errors.Is(err, context.Canceled) {
 		if cfg.checkpointPath != "" {
 			fmt.Fprintf(os.Stderr, "bfhrfd: interrupted after %d queries; checkpoint %s is valid — rerun with -resume to continue\n",
 				len(results), cfg.checkpointPath)

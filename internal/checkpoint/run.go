@@ -37,7 +37,7 @@ type Run struct {
 // skip reports true for, pass each result it computes to record (which
 // is safe for concurrent use), and return its results sorted by index.
 // A query error other than cancellation returns nil results. On
-// cancellation (core.ErrCanceled, or a canceled context) the restored
+// cancellation (an error wrapping context.Canceled) the restored
 // and fresh results are returned, index-sorted, alongside query's
 // error, after the checkpoint is flushed. A record or flush failure is
 // returned after the run. Otherwise the merged results must cover every
@@ -80,7 +80,7 @@ func (r Run) Query(query func(skip func(int) bool, record func(core.Result)) ([]
 				mu.Unlock()
 			}
 		})
-	canceled := errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled)
+	canceled := errors.Is(err, context.Canceled)
 	if err != nil && !canceled {
 		return nil, err
 	}

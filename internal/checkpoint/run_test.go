@@ -16,7 +16,7 @@ import (
 func avgOf(idx int) float64 { return float64(idx)*1.25 + 0.1 }
 
 // fakeQuery answers n queries in index order, honoring skip and
-// recording each result, and stops with core.ErrCanceled once it has
+// recording each result, and stops with context.Canceled once it has
 // computed stopAfter results (stopAfter < 0 runs to the end).
 func fakeQuery(n, stopAfter int) func(skip func(int) bool, record func(core.Result)) ([]core.Result, error) {
 	return func(skip func(int) bool, record func(core.Result)) ([]core.Result, error) {
@@ -26,7 +26,7 @@ func fakeQuery(n, stopAfter int) func(skip func(int) bool, record func(core.Resu
 				continue
 			}
 			if len(out) == stopAfter {
-				return out, core.ErrCanceled
+				return out, context.Canceled
 			}
 			r := core.Result{Index: idx, AvgRF: avgOf(idx)}
 			if record != nil {
@@ -129,7 +129,7 @@ func TestRunCancelThenResume(t *testing.T) {
 	const n = 6
 	run := testRun(t)
 	res, err := run.Query(fakeQuery(n, 2))
-	if !errors.Is(err, core.ErrCanceled) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run returned %v", err)
 	}
 	if got := fmt.Sprint(indexes(t, res)); got != "[0 1]" {

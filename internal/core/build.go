@@ -53,7 +53,7 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 	if ts == nil {
 		return nil, fmt.Errorf("core: taxon catalogue is required")
 	}
-	_, span := obs.StartSpan(nil, SpanBuild)
+	ctx, span := obs.StartSpan(nil, SpanBuild)
 	defer span.End()
 	var accums []*buildAccum
 	p := pool{
@@ -63,7 +63,7 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 		filter:          opts.Filter,
 		requireComplete: opts.RequireComplete,
 	}
-	_, _, err := p.run(r, func(workers int) {
+	_, err := p.run(ctx, r, func(workers int) {
 		backend, shards := opts.resolveBackendFor(ts.Len()), opts.shardCount(workers)
 		accums = make([]*buildAccum, workers)
 		for w := range accums {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -50,10 +51,6 @@ func (v Variant) String() string {
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
 }
-
-// ErrCanceled is returned (wrapped) by AverageRF when QueryOptions.Cancel
-// fires; the results computed so far accompany it.
-var ErrCanceled = errors.New("core: query canceled")
 
 // probeMode selects how a prober walks the open-addressing table.
 // Production probers always run probeAuto; the forced paths are the
@@ -150,11 +147,12 @@ type QueryOptions struct {
 	// produces it (out of order). It may be called from multiple
 	// goroutines concurrently; checkpoint writers serialize internally.
 	OnResult func(Result)
-	// Cancel, when closed, stops feeding new queries. AverageRF drains
-	// in-flight work and returns the results completed so far alongside
-	// an error wrapping ErrCanceled — so a signal handler can flush a
-	// valid checkpoint before exit.
-	Cancel <-chan struct{}
+	// Context, when set, parents the query's span and stops the run when
+	// it ends: AverageRF stops feeding new queries, drains in-flight work
+	// and returns the results completed so far alongside an error
+	// wrapping the context's error — so a signal handler can flush a
+	// valid checkpoint before exit. Nil means context.Background().
+	Context context.Context
 	// Cache, when set, answers exact topological repeats from the shared
 	// query-result cache instead of re-probing the hash. Only the Plain
 	// and Normalized variants consult it (Weighted results depend on
@@ -198,7 +196,7 @@ func (h *FreqHash) AverageRF(q collection.Source, opts QueryOptions) ([]Result, 
 	if opts.Variant == Weighted && !h.weighted {
 		return nil, fmt.Errorf("core: weighted variant requires branch lengths on every reference bipartition")
 	}
-	_, span := obs.StartSpan(nil, SpanQuery)
+	ctx, span := obs.StartSpan(opts.Context, SpanQuery)
 	defer span.End()
 	if span.Recorded() {
 		span.SetAttr("variant", opts.Variant)
@@ -223,9 +221,8 @@ func (h *FreqHash) AverageRF(q collection.Source, opts QueryOptions) ([]Result, 
 		filter:          opts.Filter,
 		requireComplete: opts.RequireComplete,
 		skip:            opts.Skip,
-		cancel:          opts.Cancel,
 	}
-	dispatched, canceled, err := p.run(q, func(workers int) {
+	dispatched, err := p.run(ctx, q, func(workers int) {
 		probers, outs = make([]*Prober, workers), make([][]Result, workers)
 		for w := range probers {
 			probers[w] = h.proberFor(opts)
@@ -242,18 +239,20 @@ func (h *FreqHash) AverageRF(q collection.Source, opts QueryOptions) ([]Result, 
 		outs[w] = append(outs[w], r)
 		return nil
 	})
-	if err != nil {
+	// A stopped feed wraps ctx.Err() and keeps its partial results; any
+	// other failure drops them.
+	if err != nil && !errors.Is(err, ctx.Err()) {
 		return nil, err
 	}
-	return collectResults(outs, dispatched, canceled)
+	return collectResults(outs, dispatched, err)
 }
 
 // collectResults merges per-worker partial results into one slice sorted
 // by query index. dispatched[i] records whether query i was handed to a
-// worker; unless the run was canceled, every dispatched query must have
-// produced a result (the PR-4 no-silent-loss invariant). On cancellation
-// the completed subset is returned alongside ErrCanceled.
-func collectResults(outs [][]Result, dispatched []bool, canceled bool) ([]Result, error) {
+// worker; unless the run was stopped, every dispatched query must have
+// produced a result (the no-silent-loss invariant). A stopped run
+// returns the completed subset alongside stopped.
+func collectResults(outs [][]Result, dispatched []bool, stopped error) ([]Result, error) {
 	n := 0
 	for _, part := range outs {
 		n += len(part)
@@ -263,8 +262,8 @@ func collectResults(outs [][]Result, dispatched []bool, canceled bool) ([]Result
 		results = append(results, part...)
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Index < results[j].Index })
-	if canceled {
-		return results, ErrCanceled
+	if stopped != nil {
+		return results, stopped
 	}
 	got := make([]bool, len(dispatched))
 	for _, r := range results {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"sync"
@@ -116,8 +117,8 @@ func TestQueryOnResult(t *testing.T) {
 
 func TestQueryCancel(t *testing.T) {
 	h := buildResumeHash(t, 1)
-	cancel := make(chan struct{})
-	close(cancel) // canceled before the first query is fed
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // canceled before the first query is fed
 	// In memory the queries are trees; a plain-Newick file hands them out
 	// as raw statements.
 	for _, src := range []collection.Source{
@@ -126,10 +127,10 @@ func TestQueryCancel(t *testing.T) {
 	} {
 		results, err := h.AverageRF(src, QueryOptions{
 			Workers: 2,
-			Cancel:  cancel,
+			Context: ctx,
 		})
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%T: got %v, want ErrCanceled", src, err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%T: got %v, want context.Canceled", src, err)
 		}
 		if len(results) != 0 {
 			t.Fatalf("%T: pre-canceled run computed %d results", src, len(results))

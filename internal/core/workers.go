@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -41,23 +42,22 @@ type pool struct {
 	taxa            *taxa.Set
 	filter          bipart.Filter
 	requireComplete bool
-	// skip elides items the way QueryOptions.Skip says; cancel stops the
-	// feed the way QueryOptions.Cancel says.
-	skip   func(idx int) bool
-	cancel <-chan struct{}
+	// skip elides items the way QueryOptions.Skip says.
+	skip func(idx int) bool
 }
 
 // run makes one pass over src. start is called once, with the effective
 // worker count, before any item is fed; use(w, idx, bs) then consumes
 // item idx's splits on worker w, and bs is valid only during the call.
-// run returns which items were dispatched (fed and not skipped) and
-// whether cancel stopped the feed. Of several failures it reports the
-// earliest in stream order: the first bad tree, else the read error that
-// ended the feed.
-func (p pool) run(src collection.Source, start func(workers int), use func(w, idx int, bs []bipart.Bipartition) error) (dispatched []bool, canceled bool, err error) {
+// run returns which items were dispatched (fed and not skipped). When
+// ctx ends first, the feed stops, in-flight items drain, and run returns
+// the items dispatched so far with an error wrapping ctx.Err(). Of
+// several failures it reports the earliest in stream order: the first
+// bad tree, else the read error that ended the feed.
+func (p pool) run(ctx context.Context, src collection.Source, start func(workers int), use func(w, idx int, bs []bipart.Bipartition) error) (dispatched []bool, err error) {
 	rd, err := collection.NewReader(src)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	workers := EffectiveWorkers(p.workers, sourceLen(src))
 	start(workers)
@@ -101,19 +101,17 @@ func (p pool) run(src collection.Source, start func(workers int), use func(w, id
 		}(w)
 	}
 
-	var feedErr error
+	var feedErr, stopped error
+	done := ctx.Done() // nil, and never ready, for a context that cannot end
 	// A failed pass stops reading: every tree before the failure is
 	// already fed, so the earliest bad tree is still found.
+feed:
 	for !failed.Load() {
-		if p.cancel != nil {
-			select {
-			case <-p.cancel:
-				canceled = true
-			default:
-			}
-			if canceled {
-				break
-			}
+		select {
+		case <-done:
+			stopped = fmt.Errorf("core: %s feed stopped: %w", p.kind, ctx.Err())
+			break feed
+		default:
 		}
 		it, err := rd.Next()
 		if err == io.EOF {
@@ -140,10 +138,10 @@ func (p pool) run(src collection.Source, start func(workers int), use func(w, id
 		}
 	}
 	if first >= 0 {
-		return nil, false, fmt.Errorf("core: %s tree %d: %w", p.kind, errs[first].idx, errs[first].err)
+		return nil, fmt.Errorf("core: %s tree %d: %w", p.kind, errs[first].idx, errs[first].err)
 	}
 	if feedErr != nil {
-		return nil, false, fmt.Errorf("core: reading %s collection: %w", p.kind, feedErr)
+		return nil, fmt.Errorf("core: reading %s collection: %w", p.kind, feedErr)
 	}
-	return dispatched, canceled, nil
+	return dispatched, stopped
 }

@@ -615,10 +615,6 @@ func fingerprint(ts *taxa.Set, trees int, sum, digest uint64) uint64 {
 	return fp
 }
 
-// ErrCanceled is returned by AverageRFOpts when QueryRunOptions.Cancel
-// fires; the results gathered so far accompany it.
-var ErrCanceled = core.ErrCanceled
-
 // QueryRunOptions configure one scatter-gather run for resumable
 // operation; the zero value is a plain full run.
 type QueryRunOptions struct {
@@ -632,34 +628,26 @@ type QueryRunOptions struct {
 	// topology's result is emitted before earlier in-flight batches fold.
 	// The Outcome's Results slice is always sorted by query index.
 	OnResult func(core.Result)
-	// Cancel, when closed, stops the run after the current batch: the
-	// results so far return with ErrCanceled.
+	// Cancel, when closed, stops the run after the current batch without
+	// aborting in-flight RPCs (bfhrfd's soft drain): the results so far
+	// return with an error wrapping context.Canceled.
 	Cancel <-chan struct{}
 }
 
-// AverageRF streams the query collection, fanning each batch out to every
-// worker and folding the partial sums. Results are in query order. See
-// AverageRFContext for the coverage and failover annotations.
-func (c *Coordinator) AverageRF(queries collection.Source) ([]core.Result, error) {
-	out, err := c.AverageRFContext(context.Background(), queries)
-	if err != nil {
-		return nil, err
-	}
-	return out.Results, nil
-}
-
-// AverageRFContext runs the scatter-gather query phase under ctx and
-// returns the results together with their fault-tolerance annotations:
-// achieved shard coverage, whether any batch was partial, and which
-// workers were lost along the way.
+// AverageRFContext streams the query collection under ctx, fanning each
+// batch out to every worker and folding the partial sums, and returns the
+// results in query order together with their fault-tolerance
+// annotations: achieved shard coverage, whether any batch was partial,
+// and which workers were lost along the way.
 func (c *Coordinator) AverageRFContext(ctx context.Context, queries collection.Source) (*Outcome, error) {
 	return c.AverageRFOpts(ctx, queries, QueryRunOptions{})
 }
 
 // AverageRFOpts is AverageRFContext with per-query skip, result streaming
-// and graceful cancellation — the hooks crash-safe resumable runs build
-// on. Each result's Index is its position in the query collection, so a
-// run that skips trees still reports stable indexes.
+// and a soft drain — the hooks crash-safe resumable runs build on. Each
+// result's Index is its position in the query collection, so a run that
+// skips trees still reports stable indexes. Like run.Cancel, an ended ctx
+// stops the feed before the next batch.
 func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Source, run QueryRunOptions) (*Outcome, error) {
 	if c.r == 0 || c.taxa == nil {
 		return nil, fmt.Errorf("distrib: Load before Query")
@@ -704,7 +692,7 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 	}
 	pend := make([]pendingQuery, 0, c.batchSize())
 	idx := 0
-	canceled := false
+	var stopped error
 	cacheHits := 0
 	defer func() {
 		if span.Recorded() {
@@ -739,14 +727,16 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 		pend = pend[:0]
 		return nil
 	}
-	for !canceled {
-		if run.Cancel != nil {
-			select {
-			case <-run.Cancel:
-				canceled = true
-				continue
-			default:
-			}
+	done := ctx.Done()
+	for stopped == nil {
+		select {
+		case <-run.Cancel:
+			stopped = context.Canceled
+			continue
+		case <-done:
+			stopped = ctx.Err()
+			continue
+		default:
 		}
 		it, err := rd.Next()
 		if err == io.EOF {
@@ -804,8 +794,8 @@ func (c *Coordinator) AverageRFOpts(ctx context.Context, queries collection.Sour
 	}
 	sort.Slice(out.Results, func(i, j int) bool { return out.Results[i].Index < out.Results[j].Index })
 	out.DeadWorkers = diffAddrs(c.deadAddrs(), deadBefore)
-	if canceled {
-		return out, ErrCanceled
+	if stopped != nil {
+		return out, fmt.Errorf("distrib: query run stopped: %w", stopped)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -46,11 +47,11 @@ func TestCoordinatorCacheHits(t *testing.T) {
 		if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
 			t.Fatal(err)
 		}
-		res, err := coord.AverageRF(collection.FromTrees(queries))
+		res, err := coord.AverageRFContext(context.Background(), collection.FromTrees(queries))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.Results
 	}
 
 	want := run(nil)

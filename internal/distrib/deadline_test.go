@@ -2,10 +2,12 @@ package distrib
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/collection"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 )
 
@@ -39,7 +41,7 @@ func TestCallerDeadlineDoesNotKillWorkers(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err = coord.AverageRFOpts(ctx, collection.FromTrees(queries), QueryRunOptions{Cancel: ctx.Done()})
+	_, err = coord.AverageRFContext(ctx, collection.FromTrees(queries))
 	if err == nil {
 		t.Fatal("query with an expired deadline succeeded")
 	}
@@ -87,11 +89,59 @@ func TestCallerCancelDoesNotKillWorkers(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err = coord.AverageRFOpts(ctx, collection.FromTrees(queries), QueryRunOptions{Cancel: ctx.Done()})
+	_, err = coord.AverageRFContext(ctx, collection.FromTrees(queries))
 	if err == nil {
 		t.Fatal("canceled query succeeded")
 	}
 	if got := coord.AliveWorkers(); got != alive {
 		t.Fatalf("caller cancel killed workers: alive %d -> %d", alive, got)
+	}
+}
+
+// TestSoftDrainStopsAtBatchBoundary: closing QueryRunOptions.Cancel (bfhrfd's
+// first signal) lets the batch in flight fold, stops the feed before the
+// next one, and returns the folded results, index-sorted, with an error
+// wrapping context.Canceled — without counting a worker dead.
+func TestSoftDrainStopsAtBatchBoundary(t *testing.T) {
+	trees, ts := testCollection(44, 16, 60)
+	queries := collection.FromTrees(trees[:10])
+	coord, err := Dial(startWorkers(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.BatchSize = 3
+	if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
+		t.Fatal(err)
+	}
+	full, err := coord.AverageRFContext(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	soft := make(chan struct{})
+	closed := false
+	out, err := coord.AverageRFOpts(context.Background(), queries, QueryRunOptions{
+		OnResult: func(core.Result) {
+			if !closed {
+				closed = true
+				close(soft)
+			}
+		},
+		Cancel: soft,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("drained run returned %v, want context.Canceled", err)
+	}
+	if len(out.Results) != coord.BatchSize {
+		t.Fatalf("drained run returned %d results, want the first batch of %d", len(out.Results), coord.BatchSize)
+	}
+	for i, r := range out.Results {
+		if r != full.Results[i] {
+			t.Errorf("result %d = %+v, want %+v", i, r, full.Results[i])
+		}
+	}
+	if alive := coord.AliveWorkers(); alive != 2 || len(out.DeadWorkers) != 0 {
+		t.Fatalf("soft drain marked workers dead: alive %d, dead %v", alive, out.DeadWorkers)
 	}
 }

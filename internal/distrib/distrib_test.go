@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"net"
@@ -63,17 +64,17 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got, err := coord.AverageRF(collection.FromTrees(queries))
+		got, err := coord.AverageRFContext(context.Background(), collection.FromTrees(queries))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: results = %d, want %d", workers, len(got), len(want))
+		if len(got.Results) != len(want) {
+			t.Fatalf("workers=%d: results = %d, want %d", workers, len(got.Results), len(want))
 		}
-		for i := range got {
-			if math.Abs(got[i].AvgRF-want[i].AvgRF) > 1e-9 {
+		for i := range got.Results {
+			if math.Abs(got.Results[i].AvgRF-want[i].AvgRF) > 1e-9 {
 				t.Errorf("workers=%d query %d: distributed %v vs local %v",
-					workers, i, got[i].AvgRF, want[i].AvgRF)
+					workers, i, got.Results[i].AvgRF, want[i].AvgRF)
 			}
 		}
 		coord.Close()
@@ -104,7 +105,7 @@ func TestDistributedCompressedShards(t *testing.T) {
 	} else if h.Backend() != core.BackendSuccinct {
 		t.Errorf("worker built a %v hash under compress, want succinct", h.Backend())
 	}
-	got, err := coord.AverageRF(collection.FromTrees(trees[:10]))
+	got, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:10]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +117,9 @@ func TestDistributedCompressedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		if math.Abs(got[i].AvgRF-want[i].AvgRF) > 1e-9 {
-			t.Errorf("query %d: %v vs %v", i, got[i].AvgRF, want[i].AvgRF)
+	for i := range got.Results {
+		if math.Abs(got.Results[i].AvgRF-want[i].AvgRF) > 1e-9 {
+			t.Errorf("query %d: %v vs %v", i, got.Results[i].AvgRF, want[i].AvgRF)
 		}
 	}
 }
@@ -137,12 +138,12 @@ func TestMoreWorkersThanChunks(t *testing.T) {
 	if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.AverageRF(collection.FromTrees(trees))
+	res, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
+	if len(res.Results) != 3 {
+		t.Fatalf("results = %d", len(res.Results))
 	}
 }
 
@@ -161,7 +162,7 @@ func TestErrors(t *testing.T) {
 	defer coord.Close()
 	// Query before Load.
 	trees, ts := testCollection(2, 8, 4)
-	if _, err := coord.AverageRF(collection.FromTrees(trees)); err == nil {
+	if _, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees)); err == nil {
 		t.Error("Query before Load should fail")
 	}
 	// Empty reference collection.
@@ -219,11 +220,11 @@ func TestWorkerServesOverRealTCP(t *testing.T) {
 	if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.AverageRF(collection.FromTrees(trees[:5]))
+	res, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:5]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 5 {
-		t.Fatalf("results = %d", len(res))
+	if len(res.Results) != 5 {
+		t.Fatalf("results = %d", len(res.Results))
 	}
 }

@@ -1,6 +1,7 @@
 package distrib_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,11 +63,11 @@ func Example() {
 	}
 
 	queries := mustParse([]string{"((A,B),(C,D),E);"})
-	results, err := coord.AverageRF(collection.FromTrees(queries))
+	results, err := coord.AverageRFContext(context.Background(), collection.FromTrees(queries))
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range results {
+	for _, r := range results.Results {
 		fmt.Printf("query %d: avgRF %.2f over %d workers\n", r.Index, r.AvgRF, coord.NumWorkers())
 	}
 	// Output:

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"errors"
 	"io"
 	"math"
@@ -226,7 +227,7 @@ func TestPartialResultsAllShardsLost(t *testing.T) {
 	}
 	kw.kill()
 	err = runWithTimeout(t, "AverageRF with no shards", func() error {
-		_, err := coord.AverageRF(collection.FromTrees(trees[:2]))
+		_, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:2]))
 		return err
 	})
 	if err == nil {
@@ -254,7 +255,7 @@ func TestRetryExhaustionSurfacesError(t *testing.T) {
 	kw.kill()
 	retriesBefore := rpcRetries("Query", kw.addr()).Value()
 	err = runWithTimeout(t, "AverageRF with exhausted retries", func() error {
-		_, err := coord.AverageRF(collection.FromTrees(trees[:2]))
+		_, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:2]))
 		return err
 	})
 	if err == nil {
@@ -402,7 +403,7 @@ func TestHealthLoopRaceHammer(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := coord.AverageRF(collection.FromTrees(trees[:3])); err != nil {
+				if _, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:3])); err != nil {
 					t.Errorf("query under health hammer: %v", err)
 					return
 				}

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -172,14 +173,14 @@ func TestWorkerDiesMidQueryNoFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First batch succeeds while both workers live.
-	if _, err := coord.AverageRF(collection.FromTrees(trees[:2])); err != nil {
+	if _, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:2])); err != nil {
 		t.Fatalf("healthy query: %v", err)
 	}
 
 	kw.kill()
 	before := coordErrors("Query", kw.addr()).Value()
 	err = runWithTimeout(t, "AverageRF", func() error {
-		_, err := coord.AverageRF(collection.FromTrees(trees[:4]))
+		_, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:4]))
 		return err
 	})
 	if err == nil {
@@ -265,7 +266,7 @@ func TestMalformedRPCResponse(t *testing.T) {
 
 	before := protocolErrors(addr).Value()
 	err = runWithTimeout(t, "AverageRF", func() error {
-		_, err := coord.AverageRF(collection.FromTrees(trees[:3]))
+		_, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:3]))
 		return err
 	})
 	if err == nil {
@@ -311,12 +312,12 @@ func TestCoordinatorPerWorkerMetrics(t *testing.T) {
 	if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.AverageRF(collection.FromTrees(trees[:9]))
+	res, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:9]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 9 {
-		t.Fatalf("results = %d, want 9", len(res))
+	if len(res.Results) != 9 {
+		t.Fatalf("results = %d, want 9", len(res.Results))
 	}
 
 	for i, a := range addrs {

@@ -144,13 +144,13 @@ func TestMigrateShard(t *testing.T) {
 		t.Fatalf("migrated cluster holds %d trees, want %d", coord2.r, len(trees))
 	}
 
-	got, err := coord2.AverageRF(collection.FromTrees(queries))
+	got, err := coord2.AverageRFContext(context.Background(), collection.FromTrees(queries))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		if math.Abs(got[i].AvgRF-want[i].AvgRF) > 1e-9 {
-			t.Errorf("query %d: migrated cluster %v vs local %v", i, got[i].AvgRF, want[i].AvgRF)
+	for i := range got.Results {
+		if math.Abs(got.Results[i].AvgRF-want[i].AvgRF) > 1e-9 {
+			t.Errorf("query %d: migrated cluster %v vs local %v", i, got.Results[i].AvgRF, want[i].AvgRF)
 		}
 	}
 }
@@ -206,13 +206,13 @@ func TestClusterSnapshotSaveLoad(t *testing.T) {
 		if coord2.Fingerprint() != wantFP {
 			t.Fatalf("%d workers: fingerprint %016x, want %016x", nw, coord2.Fingerprint(), wantFP)
 		}
-		got, err := coord2.AverageRF(collection.FromTrees(queries))
+		got, err := coord2.AverageRFContext(context.Background(), collection.FromTrees(queries))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got {
-			if math.Abs(got[i].AvgRF-want[i].AvgRF) > 1e-9 {
-				t.Errorf("%d workers: query %d: restored %v vs local %v", nw, i, got[i].AvgRF, want[i].AvgRF)
+		for i := range got.Results {
+			if math.Abs(got.Results[i].AvgRF-want[i].AvgRF) > 1e-9 {
+				t.Errorf("%d workers: query %d: restored %v vs local %v", nw, i, got.Results[i].AvgRF, want[i].AvgRF)
 			}
 		}
 		coord2.Close()

@@ -102,11 +102,11 @@ func TestSplitWireMatchesLocal(t *testing.T) {
 					if err := coord.Load(collection.FromTrees(c.refs), c.ts, false); err != nil {
 						t.Fatal(err)
 					}
-					got, err := coord.AverageRF(collection.FromTrees(c.queries))
+					got, err := coord.AverageRFContext(context.Background(), collection.FromTrees(c.queries))
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameBits(t, fmt.Sprintf("n=%d %s k=%d cache=%v", n, b, k, cached), got, want)
+					sameBits(t, fmt.Sprintf("n=%d %s k=%d cache=%v", n, b, k, cached), got.Results, want)
 					coord.Close()
 				}
 			}
@@ -168,11 +168,11 @@ func TestSplitWireMatchesLocal(t *testing.T) {
 					if err := coord.LoadSnapshotContext(context.Background(), dir); err != nil {
 						t.Fatal(err)
 					}
-					got, err := coord.AverageRF(collection.FromTrees(c.queries))
+					got, err := coord.AverageRFContext(context.Background(), collection.FromTrees(c.queries))
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameBits(t, fmt.Sprintf("restored onto k=%d", k), got, want)
+					sameBits(t, fmt.Sprintf("restored onto k=%d", k), got.Results, want)
 					coord.Close()
 				}
 			})
@@ -202,14 +202,14 @@ func TestSplitWireConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				got, err := coord.AverageRF(collection.FromTrees(c.queries))
+				got, err := coord.AverageRFContext(context.Background(), collection.FromTrees(c.queries))
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				for j := range want {
-					if got[j] != want[j] {
-						t.Errorf("concurrent run: result %d = %v, local %v", j, got[j], want[j])
+					if got.Results[j] != want[j] {
+						t.Errorf("concurrent run: result %d = %v, local %v", j, got.Results[j], want[j])
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -43,11 +44,11 @@ func TestTracedQueryStitchedAndIdentical(t *testing.T) {
 		if between != nil {
 			between()
 		}
-		got, err := coord.AverageRF(collection.FromTrees(queries))
+		got, err := coord.AverageRFContext(context.Background(), collection.FromTrees(queries))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return got.Results
 	}
 
 	render := func(rs []core.Result) string {
@@ -200,7 +201,7 @@ func TestUntracedQueryPropagatesNothing(t *testing.T) {
 	if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.AverageRF(collection.FromTrees(trees[:5])); err != nil {
+	if _, err := coord.AverageRFContext(context.Background(), collection.FromTrees(trees[:5])); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.CurrentTracer().Snapshot(0); len(got) != 0 {

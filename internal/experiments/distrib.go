@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/collection"
@@ -81,12 +82,12 @@ func (c *Config) Distrib() *Report {
 			if err := coord.Load(refs, ts, false); err != nil {
 				return err
 			}
-			res, err := coord.AverageRF(qs)
+			out, err := coord.AverageRFContext(context.Background(), qs)
 			if err != nil {
 				return err
 			}
-			got = make([]float64, len(res))
-			for _, x := range res {
+			got = make([]float64, len(out.Results))
+			for _, x := range out.Results {
 				got[x.Index] = x.AvgRF
 			}
 			return nil

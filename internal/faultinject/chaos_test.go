@@ -15,6 +15,7 @@ package faultinject_test
 // the exact fault sequence.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -195,11 +196,11 @@ func TestChaosDistributed(t *testing.T) {
 			if err := coord.Load(collection.FromTrees(trees), ts, false); err != nil {
 				return err
 			}
-			res, err := coord.AverageRF(collection.FromTrees(queries))
+			res, err := coord.AverageRFContext(context.Background(), collection.FromTrees(queries))
 			if err != nil {
 				return err
 			}
-			for _, r := range res {
+			for _, r := range res.Results {
 				out = append(out, repro.Result{Index: r.Index, AvgRF: r.AvgRF})
 			}
 			return nil

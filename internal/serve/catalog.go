@@ -49,8 +49,7 @@ func httpStatusOf(err error, fallback int) int {
 	if errors.As(err, &se) {
 		return se.Status
 	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
-		errors.Is(err, core.ErrCanceled) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return http.StatusGatewayTimeout
 	}
 	return fallback
@@ -182,14 +181,10 @@ func (b *Local) Refresh() (int, error) {
 func (b *Local) Query(ctx context.Context, trees []*tree.Tree, v core.Variant) (*Answer, error) {
 	p := b.acquire()
 	defer b.release(p)
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
-	}
 	results, err := p.epoch.Hash.AverageRF(collection.FromTrees(trees), core.QueryOptions{
 		Workers: b.Workers,
 		Variant: v,
-		Cancel:  cancel,
+		Context: ctx,
 	})
 	if err != nil {
 		// A canceled run maps to 504 via httpStatusOf; everything else a
@@ -246,11 +241,7 @@ func (d *Distributed) Query(ctx context.Context, trees []*tree.Tree, v core.Vari
 			Err:    fmt.Errorf("serve: distributed collections answer only the plain variant (got %q)", v),
 		}
 	}
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
-	}
-	out, err := d.Coord.AverageRFOpts(ctx, collection.FromTrees(trees), distrib.QueryRunOptions{Cancel: cancel})
+	out, err := d.Coord.AverageRFContext(ctx, collection.FromTrees(trees))
 	if err != nil {
 		// The coordinator extracts every tree before any worker sees it,
 		// so a tree the catalogue cannot take is the client's fault (400).

@@ -214,56 +214,67 @@ func registerDistributed(t *testing.T, cat *Catalog, name string, trees []*tree.
 	}
 }
 
-// TestTracedDistributedQueryStitched: one traced /v1/query request to a
-// distributed collection is one trace — the coordinator's coord.query
-// span is a child of the request's serve.query span, with the RPC spans
-// beneath it — and tracing does not change the answer.
+// TestTracedDistributedQueryStitched: one traced /v1/query request is one
+// trace, on a local and on a distributed collection alike — the backend's
+// query span (core's bfh.query, or the coordinator's coord.query with the
+// RPC spans beneath it) is a child of the request's serve.query span —
+// and tracing does not change the answer.
 func TestTracedDistributedQueryStitched(t *testing.T) {
 	trees, ts := testTrees(6, 12, 10)
 	svc, srv := testService(t, Config{}, trees, ts)
 	registerDistributed(t, svc.cat, "dist", trees, ts)
-	body := map[string]any{"collection": "dist", "trees": newickStrings(trees[:3])}
+	for _, tc := range []struct {
+		name, collection string
+		child            string // the backend's query span
+		rpc              bool   // whether RPC spans sit under it
+	}{
+		{"local", "refs", core.SpanQuery, false},
+		{"distributed", "dist", "coord.query", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := map[string]any{"collection": tc.collection, "trees": newickStrings(trees[:3])}
+			prev := obs.SetCurrentTracer(obs.NewTracer(8))
+			defer obs.SetCurrentTracer(prev)
+			code, untraced, _ := postQuery(t, srv.URL, "", body)
+			if code != 200 {
+				t.Fatalf("untraced: status %d: %s", code, untraced)
+			}
+			tr := obs.NewTracer(8)
+			tr.SetSampleRate(1)
+			obs.SetCurrentTracer(tr)
+			code, traced, _ := postQuery(t, srv.URL, "", body)
+			if code != 200 {
+				t.Fatalf("traced: status %d: %s", code, traced)
+			}
+			if !bytes.Equal(traced, untraced) {
+				t.Errorf("tracing changed the answer:\ntraced   %s\nuntraced %s", traced, untraced)
+			}
 
-	prev := obs.SetCurrentTracer(obs.NewTracer(8))
-	defer obs.SetCurrentTracer(prev)
-	code, untraced, _ := postQuery(t, srv.URL, "", body)
-	if code != 200 {
-		t.Fatalf("untraced: status %d: %s", code, untraced)
+			var roots []string
+			for _, trace := range tr.Snapshot(0) {
+				roots = append(roots, trace.Root)
+				if trace.Root != "serve.query" {
+					continue
+				}
+				byName := make(map[string][]obs.SpanRecord)
+				for _, sp := range trace.Spans {
+					byName[sp.Name] = append(byName[sp.Name], sp)
+				}
+				if len(byName["serve.query"]) != 1 || len(byName[tc.child]) != 1 {
+					t.Fatalf("serve.query trace has %d serve.query and %d %s spans, want 1 each",
+						len(byName["serve.query"]), len(byName[tc.child]), tc.child)
+				}
+				if got, want := byName[tc.child][0].ParentID, byName["serve.query"][0].SpanID; got != want {
+					t.Errorf("%s parent = %s, want the serve.query span %s", tc.child, got, want)
+				}
+				if tc.rpc && len(byName["rpc.query"]) == 0 {
+					t.Error("serve.query trace holds no rpc.query span")
+				}
+				return
+			}
+			t.Fatalf("no trace rooted at serve.query; roots %q", roots)
+		})
 	}
-	tr := obs.NewTracer(8)
-	tr.SetSampleRate(1)
-	obs.SetCurrentTracer(tr)
-	code, traced, _ := postQuery(t, srv.URL, "", body)
-	if code != 200 {
-		t.Fatalf("traced: status %d: %s", code, traced)
-	}
-	if !bytes.Equal(traced, untraced) {
-		t.Errorf("tracing changed the answer:\ntraced   %s\nuntraced %s", traced, untraced)
-	}
-
-	var roots []string
-	for _, tc := range tr.Snapshot(0) {
-		roots = append(roots, tc.Root)
-		if tc.Root != "serve.query" {
-			continue
-		}
-		byName := make(map[string][]obs.SpanRecord)
-		for _, sp := range tc.Spans {
-			byName[sp.Name] = append(byName[sp.Name], sp)
-		}
-		if len(byName["serve.query"]) != 1 || len(byName["coord.query"]) != 1 {
-			t.Fatalf("serve.query trace has %d serve.query and %d coord.query spans, want 1 each",
-				len(byName["serve.query"]), len(byName["coord.query"]))
-		}
-		if got, want := byName["coord.query"][0].ParentID, byName["serve.query"][0].SpanID; got != want {
-			t.Errorf("coord.query parent = %s, want the serve.query span %s", got, want)
-		}
-		if len(byName["rpc.query"]) == 0 {
-			t.Error("serve.query trace holds no rpc.query span")
-		}
-		return
-	}
-	t.Fatalf("no trace rooted at serve.query; roots %q", roots)
 }
 
 func TestQueryValidation(t *testing.T) {

@@ -7,16 +7,13 @@ package repro
 // uninterrupted one.
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/checkpoint"
 	"repro/internal/collection"
 	"repro/internal/core"
 )
-
-// ErrCanceled is returned by AverageRFFilesResumable when RunOptions.Cancel
-// fires; the results completed (and checkpointed) so far accompany it.
-var ErrCanceled = core.ErrCanceled
 
 // RunOptions configure checkpointing and cancellation for a batch run.
 type RunOptions struct {
@@ -30,10 +27,11 @@ type RunOptions struct {
 	// CheckpointInterval is how many results accumulate between
 	// flush+fsync cycles (0 = checkpoint.DefaultInterval).
 	CheckpointInterval int
-	// Cancel, when closed, stops the run gracefully: in-flight queries
-	// drain, the checkpoint is flushed, and the partial results are
-	// returned with ErrCanceled.
-	Cancel <-chan struct{}
+	// Context, when canceled, stops the run gracefully: in-flight
+	// queries drain, the checkpoint is flushed, and the partial results
+	// are returned with an error wrapping context.Canceled. Nil means
+	// context.Background().
+	Context context.Context
 	// OnResume, if set, is called once after a successful Resume with the
 	// number of already-completed queries restored from the checkpoint.
 	OnResume func(done int)
@@ -56,7 +54,7 @@ var ErrCheckpointMismatch = checkpoint.ErrMismatch
 // stream into run.CheckpointPath as they are computed, a resumed run
 // (run.Resume) skips query trees already recorded — after verifying the
 // checkpoint's reference fingerprint matches the current reference set —
-// and run.Cancel flushes a valid checkpoint before returning.
+// and canceling run.Context flushes a valid checkpoint before returning.
 func AverageRFFilesResumable(queryPath, refPath string, cfg Config, run RunOptions) ([]Result, error) {
 	q, err := collection.OpenFileOpts(queryPath, cfg.ingest())
 	if err != nil {
@@ -115,7 +113,7 @@ func query(h *core.FreqHash, q collection.Source, cfg Config, run RunOptions) ([
 			RequireComplete: true,
 			Skip:            skip,
 			OnResult:        record,
-			Cancel:          run.Cancel,
+			Context:         run.Context,
 			Cache:           cfg.queryCache(),
 		})
 	})

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -67,14 +68,14 @@ func TestResumeAfterCancelIsBitIdentical(t *testing.T) {
 	}
 
 	// Cancel before any query is fed: the run checkpoints nothing (or
-	// very little) and reports ErrCanceled.
-	cancel := make(chan struct{})
-	close(cancel)
+	// very little) and reports context.Canceled.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	partial, err := AverageRFFilesResumable(qp, rp, Config{}, RunOptions{
-		CheckpointPath: ck, CheckpointInterval: 1, Cancel: cancel,
+		CheckpointPath: ck, CheckpointInterval: 1, Context: ctx,
 	})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled run gave %v, want ErrCanceled", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run gave %v, want context.Canceled", err)
 	}
 	if len(partial) >= len(baseline) {
 		t.Fatalf("canceled run completed all %d queries", len(partial))
