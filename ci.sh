@@ -96,6 +96,18 @@ echo "== go test -race (one cancellation signal: cancel, deadline, drain, stitch
 go test -race -count=1 -run 'Cancel|Deadline|Drain|Stitched|Signal' \
   ./internal/core ./internal/distrib ./internal/serve ./internal/checkpoint ./cmd/bfhrf .
 
+echo "== go test -race (one-pass reference build: equivalence, read once, skip reported once, empty query) =="
+# The reference catalogue is the first tree's leaf set, read in the same
+# pass as the build. The one-pass build must equal the union scan plus
+# build bit for bit, read each reference statement once, report each
+# skipped tree once, and treat an empty query collection as an error; the
+# single-node chaos sweep truncates files under exactly these passes. The
+# build starts its workers as the feed reaches them, so a small collection
+# of unknown size still builds on one worker, deterministically.
+go test -race -count=1 \
+  -run 'TestBuildRefsMatchesTwoPass|TestReferenceStatementsReadOnce|TestBadTreeReportedOnce|TestEmptyQueryIsError|TestFirstTaxa|TestLenientReportsEachSkipOnce|TestChaosSingleNode|TestRampStartsOneWorkerPer64Trees|TestSmallBuildOfUnknownSizeIsDeterministic' \
+  . ./internal/collection ./internal/core ./internal/faultinject
+
 echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/newick
 go test -run='^$' -fuzz=FuzzParseMatchesReference -fuzztime=10s ./internal/newick

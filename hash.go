@@ -40,15 +40,7 @@ func BuildHashNewick(refs []string, cfg Config) (*Hash, error) {
 }
 
 func buildHash(r collection.Source, cfg Config) (*Hash, error) {
-	ts, err := collection.ScanTaxa(r)
-	if err != nil {
-		return nil, err
-	}
-	bo, err := cfg.buildOptions(ts)
-	if err != nil {
-		return nil, err
-	}
-	h, err := core.Build(r, ts, bo)
+	h, err := buildRefs(r, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -145,7 +145,7 @@ func TestHashUpdateInputs(t *testing.T) {
 		{"empty", "",
 			"repro: newick: parse error at line 1 (offset 0): expected '(' or label, found end of input"},
 		{"unknown taxon", "((A,B),((C,D),(E,Z)));", `bipart: leaf "Z" not in taxon catalogue`},
-		{"incomplete", "((A,B),((C,D),E));", "bipart: tree covers 5 of 6 catalogue taxa; complete coverage required"},
+		{"incomplete", "((A,B),((C,D),E));", `bipart: tree covers 5 of 6 catalogue taxa; complete coverage required (missing "F")`},
 		{"duplicate leaf", "((A,B),((C,D),(E,F,F)));", `bipart: duplicate leaf "F"`},
 	}
 	for _, c := range cases {

@@ -140,7 +140,8 @@ func (e *Extractor) finish(err error) ([]Bipartition, error) {
 		err = fmt.Errorf("bipart: tree has %d taxa; need at least 2", a.present)
 	}
 	if err == nil && e.RequireComplete && a.present != a.n {
-		err = fmt.Errorf("bipart: tree covers %d of %d catalogue taxa; complete coverage required", a.present, a.n)
+		err = fmt.Errorf("bipart: tree covers %d of %d catalogue taxa; complete coverage required (missing %q)",
+			a.present, a.n, e.Taxa.Name(firstUnset(e.seen[:a.n])))
 	}
 	if err != nil {
 		for _, m := range a.open {
@@ -183,4 +184,15 @@ func (e *Extractor) finish(err error) ([]Bipartition, error) {
 		e.outBuf = out
 	}
 	return out, nil
+}
+
+// firstUnset is the index of the first false entry of seen, the first
+// catalogue taxon a tree lacks.
+func firstUnset(seen []bool) int {
+	for i, ok := range seen {
+		if !ok {
+			return i
+		}
+	}
+	return -1
 }

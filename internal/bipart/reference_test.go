@@ -62,7 +62,12 @@ func (e *Extractor) referenceExtract(t *tree.Tree) ([]Bipartition, error) {
 		return nil, fmt.Errorf("bipart: tree has %d taxa; need at least 2", present)
 	}
 	if e.RequireComplete && present != n {
-		return nil, fmt.Errorf("bipart: tree covers %d of %d catalogue taxa; complete coverage required", present, n)
+		missing := 0
+		for seen[missing] {
+			missing++
+		}
+		return nil, fmt.Errorf("bipart: tree covers %d of %d catalogue taxa; complete coverage required (missing %q)",
+			present, n, e.Taxa.Name(missing))
 	}
 
 	// Second pass: iterative postorder with pooled masks. Each stack frame

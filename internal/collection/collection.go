@@ -95,6 +95,9 @@ type File struct {
 	seen  int
 	opts  Options
 	diags []Diag // trees skipped this pass (lenient mode)
+	// reported is the ordinal of the last skipped tree already reported
+	// to OnDiag and the skip counter, on this pass or an earlier one.
+	reported int
 }
 
 // treeReader is the streaming interface both format readers satisfy.

@@ -31,7 +31,8 @@ type Options struct {
 	// "skip" that keeps reading would not.
 	MaxInputBytes int64
 	// OnDiag, when set, observes each skipped tree as it happens (for
-	// streaming diagnostics files). Diags are also retained on the File.
+	// streaming diagnostics files), once per statement however many
+	// passes read it. Each pass's Diags are also retained on the File.
 	OnDiag func(Diag)
 }
 
@@ -138,6 +139,12 @@ func (s *File) recordDiag(d Diag) {
 	d.Path = s.Path
 	d.Tree = s.seen + len(s.diags) + 1
 	s.diags = append(s.diags, d)
+	// A Reset rereads the same statements; report only those no earlier
+	// pass reached.
+	if d.Tree <= s.reported {
+		return
+	}
+	s.reported = d.Tree
 	mSkipped.Inc()
 	if s.opts.OnDiag != nil {
 		s.opts.OnDiag(d)

@@ -240,3 +240,38 @@ func TestInjectedOpenAndReadFaults(t *testing.T) {
 		t.Fatalf("injected read fault gave %v", lastErr)
 	}
 }
+
+// TestLenientReportsEachSkipOnce: every pass skips the same statements
+// and keeps its own Diags, but OnDiag and the skip counter see each
+// skipped statement once, on the first pass that reaches it.
+func TestLenientReportsEachSkipOnce(t *testing.T) {
+	path := writeTemp(t, "mixed.nwk", "(a,,b);\n(a,b);\n(c,(d,e));\n(x,;\n(f,g);\n")
+	var streamed []int
+	f, err := OpenFileOpts(path, Options{Lenient: true, OnDiag: func(d Diag) { streamed = append(streamed, d.Tree) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	skipped0 := mSkipped.Value()
+	// A partial pass reaches only the first bad statement.
+	if _, err := f.Next(); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		if err := f.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if got := drainLeaves(t, f); len(got) != 3 {
+			t.Fatalf("pass %d read %v, want 3 trees", pass, got)
+		}
+		if f.Skipped() != 2 {
+			t.Fatalf("pass %d kept %d diags, want 2", pass, f.Skipped())
+		}
+	}
+	if len(streamed) != 2 || streamed[0] != 1 || streamed[1] != 4 {
+		t.Errorf("OnDiag saw trees %v, want [1 4] once each", streamed)
+	}
+	if d := mSkipped.Value() - skipped0; d != 2 {
+		t.Errorf("skip counter moved by %v, want 2", d)
+	}
+}

@@ -324,3 +324,49 @@ func TestNextRawLongStatements(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstTaxa: the catalogue is the first tree's leaf set, whatever the
+// later trees hold, read under ScanTaxa's leaf rules; the source is reset
+// afterwards, and an empty source gives an empty catalogue.
+func TestFirstTaxa(t *testing.T) {
+	stmts := []string{"((B,A),(C,D));", "((A,B),(C,E));", "(A,B,(X,Y));"}
+	file := openTempNewick(t, strings.Join(stmts, "\n")+"\n")
+	text, err := FromNewick(stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := FromTrees(mustParseAll(t, stmts...))
+	for _, src := range []Source{file, text, trees} {
+		ts, err := FirstTaxa(src)
+		if err != nil {
+			t.Fatalf("%T: %v", src, err)
+		}
+		if got := strings.Join(ts.Names(), ","); got != "A,B,C,D" {
+			t.Errorf("%T: FirstTaxa = %s, want A,B,C,D", src, got)
+		}
+		if n := drain(t, src); n != len(stmts) {
+			t.Errorf("%T: source yields %d trees after FirstTaxa, want %d", src, n, len(stmts))
+		}
+	}
+
+	for _, c := range []struct{ stmts, want string }{
+		{"(A,B,'');(C,D);", "collection: tree 1: newick: parse error at line 1 (offset 7): leaf without a name"},
+		{"((A,B),(C,D);", "collection: tree 1: "},
+	} {
+		text, err := FromNewick([]string{c.stmts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FirstTaxa(text); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("FirstTaxa(%q) error = %v, want prefix %q", c.stmts, err, c.want)
+		}
+	}
+
+	empty, err := FromNewick(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts, err := FirstTaxa(empty); err != nil || ts.Len() != 0 {
+		t.Errorf("FirstTaxa(empty) = %v, %v; want an empty catalogue", ts, err)
+	}
+}

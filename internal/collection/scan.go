@@ -27,11 +27,36 @@ func ScanTaxa(sources ...Source) (*taxa.Set, error) {
 			}
 		}
 	}
-	names := make([]string, 0, len(all))
-	for name := range all {
-		names = append(names, name)
+	return all.catalogue()
+}
+
+// FirstTaxa returns the leaf names of src's first tree as a
+// lexicographically ordered catalogue, under ScanTaxa's leaf rules, and
+// resets src. It reads that one tree: when every tree must carry the same
+// leaf set, the first one's is the whole catalogue, and a build that
+// requires complete coverage rejects the first tree that differs. An
+// empty source gives an empty catalogue.
+func FirstTaxa(src Source) (*taxa.Set, error) {
+	rd, err := NewReader(src)
+	if err != nil {
+		return nil, err
 	}
-	return taxa.NewSet(names)
+	first := make(unionSink)
+	it, err := rd.Next()
+	switch {
+	case err == io.EOF:
+	case err != nil:
+		return nil, err
+	default:
+		var sc newick.Scanner
+		if err := scanItem(&sc, it, first); err != nil {
+			return nil, fmt.Errorf("collection: tree 1: %w", err)
+		}
+	}
+	if err := src.Reset(); err != nil {
+		return nil, err
+	}
+	return first.catalogue()
 }
 
 // ScanCommonTaxa streams every source once and returns the intersection of
@@ -90,6 +115,15 @@ func (u unionSink) leaf(name []byte) error {
 }
 
 func (u unionSink) endTree() {}
+
+// catalogue orders the collected names.
+func (u unionSink) catalogue() (*taxa.Set, error) {
+	names := make([]string, 0, len(u))
+	for name := range u {
+		names = append(names, name)
+	}
+	return taxa.NewSet(names)
+}
 
 // commonSink intersects the leaf-name sets of the trees it sees; common
 // stays nil until the first tree ends.

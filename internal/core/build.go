@@ -62,6 +62,7 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 		taxa:            ts,
 		filter:          opts.Filter,
 		requireComplete: opts.RequireComplete,
+		ramp:            true,
 	}
 	_, err := p.run(ctx, r, func(workers int) {
 		backend, shards := opts.resolveBackendFor(ts.Len()), opts.shardCount(workers)

@@ -191,7 +191,8 @@ type Result struct {
 
 // AverageRF streams the query collection and computes each tree's average
 // RF distance to the reference collection via tree-vs-hash comparison.
-// Results are in query order.
+// Results are in query order. A collection with no tree is an error, as
+// it is for Build.
 func (h *FreqHash) AverageRF(q collection.Source, opts QueryOptions) ([]Result, error) {
 	if opts.Variant == Weighted && !h.weighted {
 		return nil, fmt.Errorf("core: weighted variant requires branch lengths on every reference bipartition")
@@ -243,6 +244,9 @@ func (h *FreqHash) AverageRF(q collection.Source, opts QueryOptions) ([]Result, 
 	// other failure drops them.
 	if err != nil && !errors.Is(err, ctx.Err()) {
 		return nil, err
+	}
+	if err == nil && len(dispatched) == 0 {
+		return nil, fmt.Errorf("core: query collection is empty")
 	}
 	return collectResults(outs, dispatched, err)
 }

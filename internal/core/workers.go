@@ -44,6 +44,12 @@ type pool struct {
 	requireComplete bool
 	// skip elides items the way QueryOptions.Skip says.
 	skip func(idx int) bool
+	// ramp starts the workers as the feed reaches them, one per 64 trees
+	// read (EffectiveWorkers over the trees fed so far), rather than all
+	// at once. A build of unknown size that turns out small then runs on
+	// one worker, summing branch lengths in stream order as a build of
+	// known size does, with no counting pass.
+	ramp bool
 }
 
 // run makes one pass over src. start is called once, with the effective
@@ -73,32 +79,39 @@ func (p pool) run(ctx context.Context, src collection.Source, start func(workers
 	errs := make([]treeErr, workers)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ex := &bipart.Extractor{
-				Taxa:            p.taxa,
-				RequireComplete: p.requireComplete,
-				Filter:          p.filter,
-				ReuseMasks:      true,
+	work := func(w int) {
+		defer wg.Done()
+		ex := &bipart.Extractor{
+			Taxa:            p.taxa,
+			RequireComplete: p.requireComplete,
+			Filter:          p.filter,
+			ReuseMasks:      true,
+		}
+		for j := range jobs {
+			// Jobs reach a worker in stream order, so its first error
+			// is its earliest; it drains the rest unread.
+			if errs[w].err != nil {
+				continue
 			}
-			for j := range jobs {
-				// Jobs reach a worker in stream order, so its first error
-				// is its earliest; it drains the rest unread.
-				if errs[w].err != nil {
-					continue
-				}
-				bs, err := j.it.Splits(ex)
-				if err == nil {
-					err = use(w, j.idx, bs)
-				}
-				if err != nil {
-					errs[w] = treeErr{j.idx, err}
-					failed.Store(true)
-				}
+			bs, err := j.it.Splits(ex)
+			if err == nil {
+				err = use(w, j.idx, bs)
 			}
-		}(w)
+			if err != nil {
+				errs[w] = treeErr{j.idx, err}
+				failed.Store(true)
+			}
+		}
+	}
+	started := 0
+	launch := func(upTo int) {
+		for ; started < upTo; started++ {
+			wg.Add(1)
+			go work(started)
+		}
+	}
+	if !p.ramp {
+		launch(workers)
 	}
 
 	var feedErr, stopped error
@@ -122,6 +135,9 @@ feed:
 			break
 		}
 		idx := len(dispatched)
+		if p.ramp {
+			launch(EffectiveWorkers(workers, idx+1))
+		}
 		skipped := p.skip != nil && p.skip(idx)
 		dispatched = append(dispatched, !skipped)
 		if !skipped {

@@ -149,20 +149,32 @@ func (c Config) queryCache() *core.QueryCache {
 	return core.NewQueryCache(c.QueryCacheEntries, c.QueryCacheBytes)
 }
 
-// buildOptions translates the Config's build-affecting fields, resolving
-// the backend name.
-func (c Config) buildOptions(ts *taxa.Set) (core.BuildOptions, error) {
+// build builds the hash of r over the catalogue ts with the Config's
+// build-affecting fields. Every tree must cover ts exactly.
+func (c Config) build(r collection.Source, ts *taxa.Set) (*core.FreqHash, error) {
 	b, err := core.ParseBackend(c.Backend)
 	if err != nil {
-		return core.BuildOptions{}, fmt.Errorf("repro: %w", err)
+		return nil, fmt.Errorf("repro: %w", err)
 	}
-	return core.BuildOptions{
+	return core.Build(r, ts, core.BuildOptions{
 		Workers:         c.Workers,
 		Filter:          c.filter(ts.Len()),
 		RequireComplete: true,
 		Backend:         b,
 		HashShards:      c.HashShards,
-	}, nil
+	})
+}
+
+// buildRefs builds the reference hash in one pass over r. The catalogue
+// is the first tree's leaf set: every reference tree must carry it, so
+// the build's complete-coverage check names the first tree that does not,
+// with its unknown or missing leaf.
+func buildRefs(r collection.Source, cfg Config) (*core.FreqHash, error) {
+	ts, err := collection.FirstTaxa(r)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.build(r, ts)
 }
 
 func (c Config) filter(n int) bipart.Filter {
@@ -239,33 +251,19 @@ func averageRF(q, r collection.Source, cfg Config) ([]Result, error) {
 }
 
 func prepare(q, r collection.Source, cfg Config) (*core.FreqHash, collection.Source, error) {
-	var ts *taxa.Set
-	var err error
-	if cfg.IntersectTaxa {
-		ts, err = collection.ScanCommonTaxa(q, r)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ts.Len() < 4 {
-			return nil, nil, fmt.Errorf("repro: only %d taxa common to every tree; need at least 4", ts.Len())
-		}
-		q = collection.Restricted(q, ts)
-		r = collection.Restricted(r, ts)
-	} else {
-		ts, err = collection.ScanTaxa(r)
-		if err != nil {
-			return nil, nil, err
-		}
+	if !cfg.IntersectTaxa {
+		h, err := buildRefs(r, cfg)
+		return h, q, err
 	}
-	bo, err := cfg.buildOptions(ts)
+	ts, err := collection.ScanCommonTaxa(q, r)
 	if err != nil {
 		return nil, nil, err
 	}
-	h, err := core.Build(r, ts, bo)
-	if err != nil {
-		return nil, nil, err
+	if ts.Len() < 4 {
+		return nil, nil, fmt.Errorf("repro: only %d taxa common to every tree; need at least 4", ts.Len())
 	}
-	return h, q, nil
+	h, err := cfg.build(collection.Restricted(r, ts), ts)
+	return h, collection.Restricted(q, ts), err
 }
 
 // PairwiseRF returns the exact RF distance between two Newick trees on the
@@ -335,15 +333,7 @@ func GreedyConsensusNewick(refs []string, minSupport float64, cfg Config) (strin
 }
 
 func consensusWith(r collection.Source, cfg Config, build func(*core.FreqHash) (*tree.Tree, error)) (string, error) {
-	ts, err := collection.ScanTaxa(r)
-	if err != nil {
-		return "", err
-	}
-	bo, err := cfg.buildOptions(ts)
-	if err != nil {
-		return "", err
-	}
-	h, err := core.Build(r, ts, bo)
+	h, err := buildRefs(r, cfg)
 	if err != nil {
 		return "", err
 	}

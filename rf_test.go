@@ -189,8 +189,8 @@ func TestConsensusFile(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if _, err := AverageRFNewick(nil, []string{quartetT}, Config{}); err != nil {
-		// Zero queries is legal: zero results.
+	if _, err := AverageRFNewick(nil, []string{quartetT}, Config{}); err == nil {
+		t.Error("empty query should fail")
 	}
 	if _, err := AverageRFNewick([]string{quartetT}, nil, Config{}); err == nil {
 		t.Error("empty reference should fail")
