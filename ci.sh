@@ -2,7 +2,7 @@
 # ci.sh — one-command tier-1 verification.
 #
 #   ./ci.sh            gofmt + doc gate + vet (root and perfbench) + build +
-#                      tests + scanner/extract/decode benchmarks + race
+#                      tests + scanner/extract/prober/decode benchmarks + race
 #                      (fast subset, incl. the distrib failover/health
 #                      tests) + fuzz smoke + admin smoke + snapshot
 #                      round-trip smoke
@@ -38,8 +38,9 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== scanner, extract and decode benchmarks (one iteration; the scanner and extract ones fail if they allocate) =="
+echo "== scanner, extract, prober and decode benchmarks (one iteration; the scanner, extract and prober ones fail if they allocate) =="
 go test -run '^$' -bench 'Scanner|ExtractNewick|Extract$' -benchtime=1x ./internal/newick ./internal/bipart
+go test -run '^$' -bench 'Prober' -benchtime=1x ./internal/core
 go test -run '^$' -bench 'DecodeQuery' -benchtime=1x ./internal/serve
 
 echo "== go test -race (fast subset) =="

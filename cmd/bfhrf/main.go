@@ -200,10 +200,11 @@ func run(o *cliOptions) int {
 		return annotateMode(o.annotate, o.refPath, o.cfg)
 	}
 
-	// The first SIGINT/SIGTERM cancels the run gracefully: in-flight
-	// queries drain and the checkpoint is flushed before exit. It also
-	// restores the default disposition, so a second signal kills a run
-	// stuck in a long build or a stalled flush.
+	// The first SIGINT/SIGTERM cancels the run gracefully: the reference
+	// build stops reading, in-flight queries drain and the checkpoint is
+	// flushed before exit. It also restores the default disposition, so a
+	// second signal kills a run stuck where the context does not reach (a
+	// -save-bfh build, the -intersect-taxa scan) or in a stalled flush.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	defer context.AfterFunc(ctx, func() {

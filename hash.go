@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -40,7 +41,7 @@ func BuildHashNewick(refs []string, cfg Config) (*Hash, error) {
 }
 
 func buildHash(r collection.Source, cfg Config) (*Hash, error) {
-	h, err := buildRefs(r, cfg)
+	h, err := buildRefs(context.Background(), r, cfg)
 	if err != nil {
 		return nil, err
 	}

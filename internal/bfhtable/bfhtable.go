@@ -250,7 +250,23 @@ func (t *Table) Lookup(words []uint64) (Entry, bool) {
 	if t.nw == 1 {
 		return t.Lookup1(words[0])
 	}
-	h := t.hashOf(words)
+	return t.LookupHashed(t.hashOf(words), words)
+}
+
+// Lookup1 is Lookup for the one-word-key case (catalogues of at most 64
+// taxa, a single mask word): no key slicing and no EqualWords call —
+// hash, slot compare, and word compare are all straight-line. Exposed so
+// the query fold can skip the width dispatch per probe; calling it on a
+// table of another width is a programming error (it reads word 0 only).
+func (t *Table) Lookup1(w uint64) (Entry, bool) {
+	return t.Lookup1Hashed(bitset.HashWord(w), w)
+}
+
+// LookupHashed is Lookup with the key's hash supplied by the caller
+// instead of recomputed — the probe path for callers that carry the
+// precomputed bipart.Bipartition.Hash. h must be the table's hashing rule
+// applied to words (hashOf); any other value silently misses.
+func (t *Table) LookupHashed(h uint64, words []uint64) (Entry, bool) {
 	s := t.shardOf(h)
 	if s.used == 0 {
 		return Entry{}, false
@@ -268,45 +284,6 @@ func (t *Table) Lookup(words []uint64) (Entry, bool) {
 		}
 		i = (i + 1) & s.mask
 	}
-}
-
-// Lookup1 is Lookup for the one-word-key case (catalogues of at most 64
-// taxa, a single mask word): no key slicing and no EqualWords call —
-// hash, slot compare, and word compare are all straight-line. Exposed so
-// the query fold can skip the width dispatch per probe; calling it on a
-// table of another width is a programming error (it reads word 0 only).
-func (t *Table) Lookup1(w uint64) (Entry, bool) {
-	h := bitset.HashWord(w)
-	s := t.shardOf(h)
-	if s.used == 0 {
-		return Entry{}, false
-	}
-	hashes, words := s.hashes, s.words
-	i := h & s.mask
-	for {
-		sh := hashes[i]
-		if sh == 0 {
-			return Entry{}, false
-		}
-		if sh == h && words[i] == w {
-			e := s.entries[i]
-			return e, e.Freq > 0
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// LookupHashed is Lookup with the key's hash supplied by the caller
-// instead of recomputed — the probe path for callers that carry the
-// precomputed bipart.Bipartition.Hash. h must be the table's hashing rule
-// applied to words (hashOf); any other value silently misses.
-func (t *Table) LookupHashed(h uint64, words []uint64) (Entry, bool) {
-	s := t.shardOf(h)
-	if s.used == 0 {
-		return Entry{}, false
-	}
-	e := s.probeOne(h, words, t.nw)
-	return e, e.Freq > 0
 }
 
 // Lookup1Hashed is LookupHashed for the one-word-key case; like Lookup1

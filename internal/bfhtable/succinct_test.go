@@ -36,7 +36,9 @@ func popcount(words []uint64) uint32 {
 
 // TestSuccinctMatchesTable drives the same operation sequence into a Table
 // and a SuccinctTable and demands identical observable state: Len,
-// Lookup results for present and absent keys, Dec/tombstone semantics.
+// Lookup results for present and absent keys, Dec/tombstone semantics —
+// through Lookup and through the query path's AppendEncoded +
+// LookupEncoded, before and after Freeze.
 func TestSuccinctMatchesTable(t *testing.T) {
 	for _, width := range []int{40, 64, 100, 1000, 4096} {
 		rng := rand.New(rand.NewSource(int64(width)))
@@ -56,21 +58,34 @@ func TestSuccinctMatchesTable(t *testing.T) {
 		if oa.Len() != st.Len() {
 			t.Fatalf("width=%d: Len %d vs %d", width, st.Len(), oa.Len())
 		}
+		// probe is the query path: one reused encoding buffer and the
+		// caller's precomputed raw-word hash.
+		var buf []byte
+		probe := func(m []uint64) (Entry, bool) {
+			h := bitset.HashWords(m)
+			if nw == 1 {
+				h = bitset.HashWord(m[0])
+			}
+			var meta uint32
+			buf, meta = st.AppendEncoded(buf[:0], m)
+			return st.LookupEncoded(h, buf, meta)
+		}
+		same := func(m []uint64) bool {
+			we, wok := oa.Lookup(m)
+			ge, gok := st.Lookup(m)
+			pe, pok := probe(m)
+			return wok == gok && we == ge && wok == pok && we == pe
+		}
 		check := func(stage string) {
 			t.Helper()
 			for _, m := range masks {
-				we, wok := oa.Lookup(m)
-				ge, gok := st.Lookup(m)
-				if wok != gok || we != ge {
-					t.Fatalf("width=%d %s: lookup mismatch: (%v,%v) vs (%v,%v)", width, stage, ge, gok, we, wok)
+				if !same(m) {
+					t.Fatalf("width=%d %s: lookup mismatch on %x", width, stage, m)
 				}
 			}
 			for i := 0; i < 50; i++ {
-				m := randMask(rng, width)
-				we, wok := oa.Lookup(m)
-				ge, gok := st.Lookup(m)
-				if wok != gok || we != ge {
-					t.Fatalf("width=%d %s: random-probe mismatch", width, stage)
+				if m := randMask(rng, width); !same(m) {
+					t.Fatalf("width=%d %s: random-probe mismatch on %x", width, stage, m)
 				}
 			}
 		}
@@ -205,61 +220,6 @@ func TestSuccinctFreezeDictionary(t *testing.T) {
 	if seen != len(masks) {
 		t.Fatalf("Range visited %d entries, want %d", seen, len(masks))
 	}
-}
-
-// TestSuccinctBatchParity checks LookupBatch against scalar probes over
-// hit/miss/tombstone mixes, before and after Freeze.
-func TestSuccinctBatchParity(t *testing.T) {
-	const width = 777
-	rng := rand.New(rand.NewSource(11))
-	st := NewSuccinct(width, 8)
-	masks := make([][]uint64, 0, 300)
-	for i := 0; i < 300; i++ {
-		m := randMask(rng, width)
-		masks = append(masks, m)
-		st.Add(m, popcount(m), float64(i))
-	}
-	for i := 0; i < 30; i++ {
-		st.Dec(masks[i*7], float64(i*7))
-	}
-	run := func(stage string) {
-		t.Helper()
-		var pb SuccinctBatch
-		pb.Reset()
-		queries := make([][]uint64, 0, 400)
-		for i := 0; i < 400; i++ {
-			var m []uint64
-			if i%3 == 0 {
-				m = randMask(rng, width) // mostly misses
-			} else {
-				m = masks[rng.Intn(len(masks))]
-			}
-			queries = append(queries, m)
-			var h uint64
-			if st.WordsPerKey() == 1 {
-				h = bitset.HashWord(m[0])
-			} else {
-				h = bitset.HashWords(m)
-			}
-			st.BatchAppend(&pb, h, m)
-		}
-		got := st.LookupBatch(&pb)
-		for i, m := range queries {
-			we, wok := st.Lookup(m)
-			if wok {
-				if got[i] != we {
-					t.Fatalf("%s: batch[%d] = %v, scalar = %v", stage, i, got[i], we)
-				}
-			} else if got[i].Freq != 0 {
-				// Scalar misses (absent or tombstoned) surface as Freq==0
-				// in the batch result, like Table.LookupBatch.
-				t.Fatalf("%s: batch[%d] = %v for a scalar miss", stage, i, got[i])
-			}
-		}
-	}
-	run("unfrozen")
-	st.Freeze()
-	run("frozen")
 }
 
 // TestSuccinctAddCopiesWords verifies the caller may reuse its mask slice.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -34,6 +35,10 @@ type BuildOptions struct {
 	// HashShards overrides the table's shard count (default: one shard
 	// per worker; rounded to a power of two in [1, 256]).
 	HashShards int
+	// Context, when set, parents the build's span, and Build stops
+	// reading the collection when it ends, returning an error wrapping
+	// the context's error. Nil means context.Background().
+	Context context.Context
 }
 
 func (o BuildOptions) workers() int {
@@ -53,7 +58,7 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 	if ts == nil {
 		return nil, fmt.Errorf("core: taxon catalogue is required")
 	}
-	ctx, span := obs.StartSpan(nil, SpanBuild)
+	ctx, span := obs.StartSpan(opts.Context, SpanBuild)
 	defer span.End()
 	var accums []*buildAccum
 	p := pool{
@@ -101,7 +106,7 @@ func BuildSplits(sets [][]bipart.Bipartition, ts *taxa.Set, opts BuildOptions) (
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("core: reference collection is empty")
 	}
-	_, span := obs.StartSpan(nil, SpanBuild)
+	_, span := obs.StartSpan(opts.Context, SpanBuild)
 	defer span.End()
 	workers := EffectiveWorkers(opts.workers(), len(sets))
 	acc := newBuildAccum(opts.resolveBackendFor(ts.Len()), ts, opts.shardCount(workers))

@@ -13,13 +13,12 @@ import (
 	"repro/internal/tree"
 )
 
-// The equivalence wall: every path a query can take — scalar or batched
-// probes, map or open-addressing backend, cache attached or not — must
-// produce the same float64 bit pattern for the same query. "Close enough"
-// is not enough: the cache stores the uncached fold's exact bits, the
-// batched path folds in the scalar path's exact order, and the distributed
-// coordinator deduplicates by fingerprint, so a single ULP of divergence
-// anywhere would surface as run-to-run nondeterminism downstream.
+// The equivalence wall: every path a query can take — open-addressing or
+// succinct backend, cache attached or not — must produce the same float64
+// bit pattern for the same query. "Close enough" is not enough: the cache
+// stores the uncached fold's exact bits and the distributed coordinator
+// deduplicates by fingerprint, so a single ULP of divergence anywhere
+// would surface as run-to-run nondeterminism downstream.
 
 // equivQueries builds a query mix that stresses the cache's identity
 // notion: exact repeats (must hit), NNI perturbations (must not alias),
@@ -59,7 +58,6 @@ func permuteLabels(t *tree.Tree, ts *taxa.Set, k int) *tree.Tree {
 type equivConfig struct {
 	name    string
 	backend Backend
-	probe   ProbeMode
 	cached  bool
 }
 
@@ -69,23 +67,18 @@ func equivConfigs() []equivConfig {
 		name string
 		b    Backend
 	}{{"oa", BackendOpenAddressing}, {"succ", BackendSuccinct}, {"auto", BackendAuto}} {
-		for _, p := range []struct {
-			name string
-			p    ProbeMode
-		}{{"auto", ProbeAuto}, {"scalar", ProbeScalar}, {"batched", ProbeBatched}} {
-			for _, cached := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%s/cached=%v", b.name, p.name, cached)
-				cs = append(cs, equivConfig{name: name, backend: b.b, probe: p.p, cached: cached})
-			}
+		for _, cached := range []bool{false, true} {
+			name := fmt.Sprintf("%s/cached=%v", b.name, cached)
+			cs = append(cs, equivConfig{name: name, backend: b.b, cached: cached})
 		}
 	}
 	return cs
 }
 
 // TestCacheEquivalenceWall runs the full query mix through every
-// backend × probe-mode × cache cell and every variant. Within a backend,
-// every probe mode and cache setting must match the scalar uncached
-// answers bit for bit — that is the probe paths' contract. Across
+// backend × cache cell and every variant. Within a backend, the cached
+// answers must match the uncached ones bit for bit — that is the cache's
+// contract. Across
 // backends, Plain and Normalized must also agree bit for bit (they fold
 // integers; the float arithmetic is a final division of identical
 // operands), and so must Info (its hash-wide mass is summed per split
@@ -111,7 +104,7 @@ func TestCacheEquivalenceWall(t *testing.T) {
 			qs := equivQueries(trees, ts, rng)
 
 			variants := []Variant{Plain, Normalized, Weighted, Info}
-			// crossBaseline: the open-addressing backend's scalar uncached
+			// crossBaseline: the open-addressing backend's uncached
 			// answers, the reference for cross-backend comparisons. backendBaseline is
 			// re-derived per backend for the bit-identity checks.
 			crossBaseline := make(map[Variant][]float64)
@@ -128,7 +121,7 @@ func TestCacheEquivalenceWall(t *testing.T) {
 			for _, v := range variants {
 				crossBaseline[v] = equivAnswers(t, hashes[BackendOpenAddressing], qs, QueryOptions{
 					RequireComplete: true, Variant: v,
-				}, ProbeScalar)
+				})
 			}
 
 			backendBaseline := map[Backend]map[Variant][]float64{}
@@ -140,7 +133,7 @@ func TestCacheEquivalenceWall(t *testing.T) {
 					for _, v := range variants {
 						base[v] = equivAnswers(t, h, qs, QueryOptions{
 							RequireComplete: true, Variant: v,
-						}, ProbeScalar)
+						})
 					}
 					backendBaseline[cfg.backend] = base
 				}
@@ -149,10 +142,10 @@ func TestCacheEquivalenceWall(t *testing.T) {
 					if cfg.cached {
 						opts.Cache = NewQueryCache(0, 0)
 					}
-					got := equivAnswers(t, h, qs, opts, cfg.probe)
+					got := equivAnswers(t, h, qs, opts)
 					for i := range got {
 						if math.Float64bits(got[i]) != math.Float64bits(base[v][i]) {
-							t.Fatalf("%s/%v: query %d = %v (bits %x), backend scalar baseline %v (bits %x)",
+							t.Fatalf("%s/%v: query %d = %v (bits %x), backend uncached baseline %v (bits %x)",
 								cfg.name, v, i, got[i], math.Float64bits(got[i]),
 								base[v][i], math.Float64bits(base[v][i]))
 						}
@@ -177,12 +170,12 @@ func TestCacheEquivalenceWall(t *testing.T) {
 	}
 }
 
-// equivAnswers runs the query mix through one prober configuration,
-// forced onto probe path probe, and returns the answers in query order.
-func equivAnswers(t *testing.T, h *FreqHash, qs []*tree.Tree, opts QueryOptions, probe ProbeMode) []float64 {
+// equivAnswers runs the query mix through one prober configuration and
+// returns the answers in query order.
+func equivAnswers(t *testing.T, h *FreqHash, qs []*tree.Tree, opts QueryOptions) []float64 {
 	t.Helper()
 	ex := &bipart.Extractor{Taxa: h.taxa, RequireComplete: true}
-	p := h.proberWith(opts, probe)
+	p := h.proberFor(opts)
 	out := make([]float64, len(qs))
 	for i, q := range qs {
 		bs, err := ex.Extract(q)

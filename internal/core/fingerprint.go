@@ -53,8 +53,7 @@ type fingerprinter struct {
 // key fingerprints one extracted bipartition set. It equals
 // TopologyFingerprint(bs) exactly; the only difference is the sort: a
 // counting-sort scatter on the top hash byte plus insertion sort within
-// each bucket run — the idiom of bfhtable.LookupBatch — because pdqsort's
-// partition branches mispredict heavily on fresh random hashes, tripling
+// each bucket run, because pdqsort's partition branches mispredict heavily on fresh random hashes, tripling
 // the per-query cost of the cache-hit path.
 func (f *fingerprinter) key(bs []bipart.Bipartition) TopoKey {
 	hs := f.hs[:0]

@@ -39,9 +39,6 @@ var (
 		"Query trees answered from the topology-fingerprint result cache.")
 	mCacheMisses = obs.Counter("bfhrf_cache_miss_total",
 		"Query-cache lookups that fell through to a full probe pass.")
-	mProbeBatchSize = obs.Histogram("bfhrf_probe_batch_size",
-		"Query bipartitions probed per shard-ordered batch (batched lookup path only).",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	mKeyBytesRaw = obs.Counter("bfhrf_key_bytes_total",
 		"Arena bytes held by the succinct backend after the most recent build, by key encoding.",
 		obs.L("encoding", "raw"))

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/bipart"
 	"repro/internal/collection"
 	"repro/internal/newick"
 	"repro/internal/obs"
@@ -67,6 +69,67 @@ func TestBuildAndQueryMetrics(t *testing.T) {
 	}
 	if got := obs.Histogram(obs.StageMetric, "", nil, obs.L("stage", SpanQuery)).Count() - queriesSpanBefore; got != 1 {
 		t.Errorf("query span count delta = %d, want 1", got)
+	}
+}
+
+// TestBuildSpanJoinsCallerTrace: Build and BuildSplits start their
+// bfh.build span under the span in BuildOptions.Context, so a build run
+// on behalf of a traced caller lands in the caller's trace.
+func TestBuildSpanJoinsCallerTrace(t *testing.T) {
+	trees, ts := randomCollection(5, 12, 8)
+	ex := &bipart.Extractor{Taxa: ts, RequireComplete: true}
+	var sets [][]bipart.Bipartition
+	for _, tr := range trees {
+		bs, err := ex.Extract(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, bs)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(opts BuildOptions) error
+	}{
+		{"Build", func(opts BuildOptions) error {
+			_, err := Build(collection.FromTrees(trees), ts, opts)
+			return err
+		}},
+		{"BuildSplits", func(opts BuildOptions) error {
+			_, err := BuildSplits(sets, ts, opts)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTracer(8)
+			tr.SetSampleRate(1)
+			prev := obs.SetCurrentTracer(tr)
+			defer obs.SetCurrentTracer(prev)
+			ctx, root := obs.StartSpan(context.Background(), "test.caller")
+			err := tc.build(BuildOptions{RequireComplete: true, Context: ctx})
+			root.End()
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces := tr.Snapshot(0)
+			if len(traces) != 1 || traces[0].Root != "test.caller" {
+				var roots []string
+				for _, trc := range traces {
+					roots = append(roots, trc.Root)
+				}
+				t.Fatalf("traces rooted at %q, want one rooted at test.caller", roots)
+			}
+			byName := make(map[string][]obs.SpanRecord)
+			for _, sp := range traces[0].Spans {
+				byName[sp.Name] = append(byName[sp.Name], sp)
+			}
+			if len(byName[SpanBuild]) != 1 || len(byName["test.caller"]) != 1 {
+				t.Fatalf("trace holds %d %s and %d test.caller spans, want 1 each",
+					len(byName[SpanBuild]), SpanBuild, len(byName["test.caller"]))
+			}
+			if got, want := byName[SpanBuild][0].ParentID, byName["test.caller"][0].SpanID; got != want {
+				t.Errorf("%s parent = %s, want the caller's span %s", SpanBuild, got, want)
+			}
+		})
 	}
 }
 

@@ -52,35 +52,6 @@ func (v Variant) String() string {
 	}
 }
 
-// probeMode selects how a prober walks the open-addressing table.
-// Production probers always run probeAuto; the forced paths are the
-// references the equivalence tests hold it to.
-type probeMode int
-
-const (
-	// probeAuto probes scalar for small bipartition sets or
-	// cache-resident tables, and switches to shard-ordered batches from
-	// probeBatchMin splits once the table's footprint exceeds
-	// probeBatchTableMin (locality only pays when probes miss cache).
-	probeAuto probeMode = iota
-	// probeScalar forces the per-bipartition probe loop.
-	probeScalar
-	// probeBatched forces shard-ordered batched probing.
-	probeBatched
-)
-
-// probeBatchMin is the bipartition count from which probeAuto batches:
-// below it the counting sort's fixed cost beats the locality win.
-const probeBatchMin = 16
-
-// probeBatchTableMin is the open-addressing footprint from which
-// probeAuto batches. Shard-ordered probing only pays when scattered
-// probes miss the CPU caches; below this size the whole table is
-// cache-resident, every probe is cheap regardless of order, and the
-// batch's scratch fill plus counting sort is pure overhead (measured
-// ~2× slower on the bench-scale avian table).
-const probeBatchTableMin = 4 << 20
-
 // Prober performs repeated frequency lookups with no per-probe key
 // allocation. Every query runs as one probe pass — fill looks up each
 // bipartition once, in input order — followed by one fold per variant
@@ -90,40 +61,17 @@ type Prober struct {
 	h *FreqHash
 
 	// Query-side acceleration state: an optional shared result cache
-	// keyed by topology fingerprint, the probe-path selector, and
-	// per-prober scratch for fingerprinting and lookups (the record slice
-	// of the scalar fill, the encoded-key buffer of the succinct backend,
-	// and the batches of the shard-ordered fill).
+	// keyed by topology fingerprint, and per-prober scratch for
+	// fingerprinting and lookups (the record slice of the fill and the
+	// encoded-key buffer of the succinct backend).
 	cache   *QueryCache
-	probe   probeMode
 	fp      fingerprinter
 	entries []entry
 	buf     []byte
-	batch   bfhtable.ProbeBatch
-	sbatch  bfhtable.SuccinctBatch
-	// autoBatch memoizes probeAuto's table-footprint decision:
-	// 0 undecided, +1 batch, -1 scalar (see Prober.batchAuto).
-	autoBatch int8
 }
 
-// NewProber returns a prober bound to h with no cache attached and
-// automatic probe-path selection.
+// NewProber returns a prober bound to h with no cache attached.
 func (h *FreqHash) NewProber() *Prober { return &Prober{h: h} }
-
-// batchAuto reports whether probeAuto should take the batched path,
-// deciding once per prober from the active table's footprint. Probers
-// are created per query pass, so a table growing across passes (AddTree)
-// re-evaluates naturally.
-func (p *Prober) batchAuto() bool {
-	if p.autoBatch == 0 {
-		if p.h.FootprintBytes() >= probeBatchTableMin {
-			p.autoBatch = 1
-		} else {
-			p.autoBatch = -1
-		}
-	}
-	return p.autoBatch == 1
-}
 
 // QueryOptions configure the query phase (the second loop of Algorithm 2).
 type QueryOptions struct {
@@ -366,36 +314,13 @@ func tally(es []entry) (hits int64, misses int) {
 
 // fill is the probe pass: the stored record of every bipartition of bs,
 // in bs's order (zero records for misses). The engine dispatch runs once
-// per call. Small sets and cache-resident tables probe scalar; otherwise
-// (per the prober's probeMode) keys are loaded into the batch scratch —
-// raw words for open addressing, compressed encodings for succinct — and
-// probed in shard-then-slot order for locality. Both paths return the
-// same records in the same order, so every fold over them is
-// bit-identical. The slice is scratch owned by the prober, valid until
-// the next fill.
+// per call, then each bipartition is probed with its precomputed hash.
+// The slice is scratch owned by the prober, valid until the next fill.
 func (p *Prober) fill(bs []bipart.Bipartition) []entry {
-	batched := p.probe == probeBatched ||
-		(p.probe == probeAuto && len(bs) >= probeBatchMin && p.batchAuto())
-	if batched {
-		mProbeBatchSize.Observe(float64(len(bs)))
-	}
+	es := p.scratch(len(bs))
 	switch t := p.h.tbl.(type) {
 	case *bfhtable.Table:
-		nw := t.WordsPerKey()
-		if batched {
-			keys, hashes := p.batch.Reset(len(bs), nw)
-			for i, b := range bs {
-				if nw == 1 {
-					keys[i] = b.Words()[0]
-				} else {
-					copy(keys[i*nw:(i+1)*nw], b.Words())
-				}
-				hashes[i] = b.Hash()
-			}
-			return t.LookupBatch(&p.batch, len(bs))
-		}
-		es := p.scratch(len(bs))
-		if nw == 1 {
+		if t.WordsPerKey() == 1 {
 			for i, b := range bs {
 				es[i], _ = t.Lookup1Hashed(b.Hash(), b.Words()[0])
 			}
@@ -406,17 +331,9 @@ func (p *Prober) fill(bs []bipart.Bipartition) []entry {
 		}
 		return es
 	case *bfhtable.SuccinctTable:
-		if batched {
-			p.sbatch.Reset()
-			for _, b := range bs {
-				t.BatchAppend(&p.sbatch, b.Hash(), b.Words())
-			}
-			return t.LookupBatch(&p.sbatch)
-		}
 		// Encode each query mask into the prober's scratch (no allocation
 		// once warm); the (bucket, length) header resolves most misses
 		// before any key bytes are read.
-		es := p.scratch(len(bs))
 		var meta uint32
 		for i, b := range bs {
 			p.buf, meta = t.AppendEncoded(p.buf[:0], b.Words())

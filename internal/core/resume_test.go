@@ -138,6 +138,25 @@ func TestQueryCancel(t *testing.T) {
 	}
 }
 
+// TestBuildCancel: a build whose context has ended reads no tree past
+// the stop and reports the context's error.
+func TestBuildCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	src := collection.FromTrees(resumeTestTrees(t))
+	ts, err := collection.ScanTaxa(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Build(src, ts, BuildOptions{Workers: 2, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if h != nil {
+		t.Fatal("canceled build returned a hash")
+	}
+}
+
 func TestQuerySkipRawPath(t *testing.T) {
 	// File-backed plain Newick reaches the workers as raw statements.
 	dir := t.TempDir()

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"compress/gzip"
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -24,7 +25,7 @@ func twoPassBuild(r collection.Source, cfg Config) (*core.FreqHash, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cfg.build(r, ts)
+	return cfg.build(context.Background(), r, ts)
 }
 
 // writeFile writes data to name in dir and returns the path.
@@ -208,7 +209,7 @@ func TestBuildRefsMatchesTwoPass(t *testing.T) {
 	}
 	var plainFP uint64
 	for i, c := range cases {
-		h1, err := buildRefs(c.src(), c.cfg)
+		h1, err := buildRefs(context.Background(), c.src(), c.cfg)
 		if err != nil {
 			t.Fatalf("%s: one-pass build: %v", c.name, err)
 		}
@@ -261,7 +262,7 @@ func TestBuildRefsMatchesTwoPass(t *testing.T) {
 			"FromNewick": text(c.refs),
 		}
 		for kind, src := range srcs {
-			_, err1 := buildRefs(src(), Config{})
+			_, err1 := buildRefs(context.Background(), src(), Config{})
 			if err1 == nil || !strings.Contains(err1.Error(), c.want) {
 				t.Errorf("%s (%s): one-pass error %v, want one containing %q", c.name, kind, err1, c.want)
 			}

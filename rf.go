@@ -19,6 +19,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bipart"
@@ -150,8 +151,9 @@ func (c Config) queryCache() *core.QueryCache {
 }
 
 // build builds the hash of r over the catalogue ts with the Config's
-// build-affecting fields. Every tree must cover ts exactly.
-func (c Config) build(r collection.Source, ts *taxa.Set) (*core.FreqHash, error) {
+// build-affecting fields. Every tree must cover ts exactly. The build
+// stops reading r when ctx ends and joins ctx's trace.
+func (c Config) build(ctx context.Context, r collection.Source, ts *taxa.Set) (*core.FreqHash, error) {
 	b, err := core.ParseBackend(c.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
@@ -162,6 +164,7 @@ func (c Config) build(r collection.Source, ts *taxa.Set) (*core.FreqHash, error)
 		RequireComplete: true,
 		Backend:         b,
 		HashShards:      c.HashShards,
+		Context:         ctx,
 	})
 }
 
@@ -169,12 +172,12 @@ func (c Config) build(r collection.Source, ts *taxa.Set) (*core.FreqHash, error)
 // is the first tree's leaf set: every reference tree must carry it, so
 // the build's complete-coverage check names the first tree that does not,
 // with its unknown or missing leaf.
-func buildRefs(r collection.Source, cfg Config) (*core.FreqHash, error) {
+func buildRefs(ctx context.Context, r collection.Source, cfg Config) (*core.FreqHash, error) {
 	ts, err := collection.FirstTaxa(r)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.build(r, ts)
+	return cfg.build(ctx, r, ts)
 }
 
 func (c Config) filter(n int) bipart.Filter {
@@ -243,16 +246,19 @@ func AverageRFNewick(queries, refs []string, cfg Config) ([]Result, error) {
 }
 
 func averageRF(q, r collection.Source, cfg Config) ([]Result, error) {
-	h, qsrc, err := prepare(q, r, cfg)
+	h, qsrc, err := prepare(context.Background(), q, r, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return query(h, qsrc, cfg, RunOptions{})
 }
 
-func prepare(q, r collection.Source, cfg Config) (*core.FreqHash, collection.Source, error) {
+// prepare builds the reference hash for a query run and returns the
+// query source to run against it, restricted to the common taxa under
+// IntersectTaxa. The build stops reading r when ctx ends.
+func prepare(ctx context.Context, q, r collection.Source, cfg Config) (*core.FreqHash, collection.Source, error) {
 	if !cfg.IntersectTaxa {
-		h, err := buildRefs(r, cfg)
+		h, err := buildRefs(ctx, r, cfg)
 		return h, q, err
 	}
 	ts, err := collection.ScanCommonTaxa(q, r)
@@ -262,7 +268,7 @@ func prepare(q, r collection.Source, cfg Config) (*core.FreqHash, collection.Sou
 	if ts.Len() < 4 {
 		return nil, nil, fmt.Errorf("repro: only %d taxa common to every tree; need at least 4", ts.Len())
 	}
-	h, err := cfg.build(collection.Restricted(r, ts), ts)
+	h, err := cfg.build(ctx, collection.Restricted(r, ts), ts)
 	return h, collection.Restricted(q, ts), err
 }
 
@@ -333,7 +339,7 @@ func GreedyConsensusNewick(refs []string, minSupport float64, cfg Config) (strin
 }
 
 func consensusWith(r collection.Source, cfg Config, build func(*core.FreqHash) (*tree.Tree, error)) (string, error) {
-	h, err := buildRefs(r, cfg)
+	h, err := buildRefs(context.Background(), r, cfg)
 	if err != nil {
 		return "", err
 	}

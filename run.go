@@ -29,8 +29,9 @@ type RunOptions struct {
 	CheckpointInterval int
 	// Context, when canceled, stops the run gracefully: in-flight
 	// queries drain, the checkpoint is flushed, and the partial results
-	// are returned with an error wrapping context.Canceled. Nil means
-	// context.Background().
+	// are returned with an error wrapping context.Canceled. Canceled
+	// during the reference build, it stops the build reading and the run
+	// returns no results. Nil means context.Background().
 	Context context.Context
 	// OnResume, if set, is called once after a successful Resume with the
 	// number of already-completed queries restored from the checkpoint.
@@ -67,7 +68,7 @@ func AverageRFFilesResumable(queryPath, refPath string, cfg Config, run RunOptio
 	}
 	defer r.Close()
 
-	h, qsrc, err := prepare(q, r, cfg)
+	h, qsrc, err := prepare(run.Context, q, r, cfg)
 	if err != nil {
 		return nil, err
 	}

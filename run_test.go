@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -95,6 +96,28 @@ func TestResumeAfterCancelIsBitIdentical(t *testing.T) {
 		if final[i] != baseline[i] {
 			t.Fatalf("result %d: resumed %+v != baseline %+v", i, final[i], baseline[i])
 		}
+	}
+}
+
+// TestCanceledRunStopsReferenceBuild: the run's context reaches the
+// reference build, which stops reading when it ends. The reference file's
+// last statement is malformed, so a build that read the whole file would
+// fail on it instead of reporting the cancellation.
+func TestCanceledRunStopsReferenceBuild(t *testing.T) {
+	dir := t.TempDir()
+	qp := writeTrees(t, dir, "q.nwk", runQueries)
+	rp := writeTrees(t, dir, "r.nwk", strings.Repeat(runRefs, 100)+"((a,b),(c,d);\n")
+	if _, err := AverageRFFiles(qp, rp, Config{}); err == nil || errors.Is(err, context.Canceled) {
+		t.Fatalf("uncanceled run gave %v, want the malformed last reference", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := AverageRFFilesResumable(qp, rp, Config{}, RunOptions{Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run gave %v, want context.Canceled", err)
+	}
+	if len(res) != 0 {
+		t.Fatalf("canceled run answered %d queries", len(res))
 	}
 }
 
