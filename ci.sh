@@ -6,7 +6,7 @@
 #                      (fast subset, incl. the distrib failover/health
 #                      tests) + fuzz smoke + admin smoke + snapshot
 #                      round-trip smoke
-#   CI_PERF=1 ./ci.sh  additionally gate the perf sweep against BENCH_0006.json
+#   CI_PERF=1 ./ci.sh  additionally gate the perf sweep against BENCH_0007.json
 #
 # The perf gate is opt-in because wall-clock measurements on a loaded CI
 # machine can exceed the noise threshold without any code change; run it
@@ -53,12 +53,13 @@ go test -race -short \
   ./internal/seqrf ./internal/serve ./internal/stats \
   ./internal/tabfmt ./internal/taxa ./internal/tree
 
-echo "== go test -race (core and collection worker pools, 1 and 4 CPUs) =="
-# The pools report the earliest bad tree in stream order whichever worker
-# fails first; a 2-CPU host never runs them at other GOMAXPROCS values, so
-# pin both ends here.
+echo "== go test -race (the caller-runs worker pool, 1 and 4 CPUs) =="
+# The pool reports the earliest bad tree in stream order whichever worker,
+# the caller or a helper, fails first, runs a one-worker pass on the
+# caller alone, and keeps a cancelled pass's finished results; a 2-CPU
+# host never runs it at other GOMAXPROCS values, so pin both ends here.
 go test -race -count=1 -cpu 1,4 \
-  -run 'EarliestBadTree|FirstBadTree|RawPath|FusedPath|QuerySkip|QueryCancel' \
+  -run 'Pool|EarliestBadTree|FirstBadTree|RawPath|FusedPath|QuerySkip|QueryCancel' \
   ./internal/core ./internal/collection
 
 echo "== go test -race (distrib fault tolerance) =="
@@ -222,8 +223,8 @@ serve_pid=""
 echo "serve smoke: shed $shed request(s) under the burst, healthy and byte-identical after"
 
 if [[ "${CI_PERF:-0}" == "1" ]]; then
-  echo "== perf gate (rfbench -compare BENCH_0006.json) =="
-  go run ./cmd/rfbench -compare BENCH_0006.json -threshold 0.10 -reps 5
+  echo "== perf gate (rfbench -compare BENCH_0007.json) =="
+  go run ./cmd/rfbench -compare BENCH_0007.json -threshold 0.10 -reps 5
 fi
 
 echo "ci.sh: all checks passed"

@@ -1,10 +1,10 @@
 package collection
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"repro/internal/newick"
 	"repro/internal/taxa"
@@ -150,76 +150,28 @@ func (c *commonSink) endTree() {
 }
 
 // scanLeaves streams src once into sinks made by newSink and returns
-// them, one per worker. Workers take the items of a Reader in stream
-// order: a raw statement is walked by a newick.Scanner, which validates
-// the full syntax just as parsing would, with no tree built; a parsed
-// tree hands over its leaf names. Of several bad trees it reports the
-// first, as a serial scan would. src is reset before and after.
+// them, one per worker of a Pool. A raw statement is walked by a
+// newick.Scanner, which validates the full syntax just as parsing would,
+// with no tree built; a parsed tree hands over its leaf names. Of several
+// bad trees it reports the first, as a serial scan would, and it reads no
+// further than that. A scan runs to its end: it takes no context. src is
+// reset before and after.
 func scanLeaves(src Source, newSink func() leafSink) ([]leafSink, error) {
-	rd, err := NewReader(src)
+	var sinks []leafSink
+	var scs []*newick.Scanner
+	_, err := Pool{Workers: runtime.GOMAXPROCS(0)}.Run(context.TODO(), src, func(workers int) {
+		sinks, scs = make([]leafSink, workers), make([]*newick.Scanner, workers)
+		for w := range sinks {
+			sinks[w], scs[w] = newSink(), new(newick.Scanner)
+		}
+	}, func(w, idx int, it Item) error {
+		if err := scanItem(scs[w], it, sinks[w]); err != nil {
+			return fmt.Errorf("collection: tree %d: %w", idx+1, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	type job struct {
-		idx int
-		it  Item
-	}
-	type treeErr struct {
-		idx int
-		err error
-	}
-	count := -1
-	if c, ok := src.(Counter); ok {
-		count = c.Count()
-	}
-	workers := EffectiveWorkers(runtime.GOMAXPROCS(0), count)
-	jobs := make(chan job, workers*4) // a few trees of slack per worker
-	sinks := make([]leafSink, workers)
-	errs := make([]treeErr, workers)
-	var wg sync.WaitGroup
-	for w := range sinks {
-		sinks[w] = newSink()
-		wg.Add(1)
-		go func(sink leafSink, te *treeErr) {
-			defer wg.Done()
-			var sc newick.Scanner
-			for j := range jobs {
-				// Jobs reach a worker in stream order, so its first error
-				// is its earliest.
-				if te.err == nil {
-					if err := scanItem(&sc, j.it, sink); err != nil {
-						*te = treeErr{j.idx, fmt.Errorf("collection: tree %d: %w", j.idx+1, err)}
-					}
-				}
-			}
-		}(sinks[w], &errs[w])
-	}
-	var feedErr error
-	for i := 0; ; i++ {
-		it, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			feedErr = err
-			break
-		}
-		jobs <- job{i, it}
-	}
-	close(jobs)
-	wg.Wait()
-	// A bad tree lies before the point where reading failed.
-	var first *treeErr
-	for i := range errs {
-		if errs[i].err != nil && (first == nil || errs[i].idx < first.idx) {
-			first = &errs[i]
-		}
-	}
-	if first != nil {
-		return nil, first.err
-	}
-	if feedErr != nil {
-		return nil, feedErr
 	}
 	return sinks, src.Reset()
 }

@@ -48,6 +48,7 @@ type buildAccum struct {
 	lenSum   float64
 	trees    int
 	bips     int
+	_        [64]byte // lenSum is written per split: keep it off the next worker's cache lines
 }
 
 // newBuildAccum returns a worker accumulator on backend b.

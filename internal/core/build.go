@@ -49,8 +49,8 @@ func (o BuildOptions) workers() int {
 }
 
 // Build streams the reference collection once and constructs the
-// bipartition frequency hash. Trees are fanned out to Workers goroutines
-// that extract bipartitions into worker-local structures, merged at the
+// bipartition frequency hash. The calling goroutine and Workers−1 helpers
+// extract bipartitions into worker-local structures, merged at the
 // end — the "embarrassingly parallel at the tree level" structure of the
 // paper with no lock contention on the hot path. The merge itself is
 // parallel across hash shards.

@@ -96,7 +96,7 @@ type QueryOptions struct {
 	// goroutines concurrently; checkpoint writers serialize internally.
 	OnResult func(Result)
 	// Context, when set, parents the query's span and stops the run when
-	// it ends: AverageRF stops feeding new queries, drains in-flight work
+	// it ends: AverageRF stops reading new queries, drains in-flight work
 	// and returns the results completed so far alongside an error
 	// wrapping the context's error — so a signal handler can flush a
 	// valid checkpoint before exit. Nil means context.Background().
@@ -188,7 +188,7 @@ func (h *FreqHash) AverageRF(q collection.Source, opts QueryOptions) ([]Result, 
 		outs[w] = append(outs[w], r)
 		return nil
 	})
-	// A stopped feed wraps ctx.Err() and keeps its partial results; any
+	// A stopped pass wraps ctx.Err() and keeps its partial results; any
 	// other failure drops them.
 	if err != nil && !errors.Is(err, ctx.Err()) {
 		return nil, err

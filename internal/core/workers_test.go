@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/collection"
@@ -33,16 +36,6 @@ func TestEffectiveWorkersClamp(t *testing.T) {
 	}
 }
 
-func TestSourceLen(t *testing.T) {
-	trees, _ := randomCollection(5, 8, 7)
-	if n := sourceLen(collection.FromTrees(trees)); n != 7 {
-		t.Fatalf("sourceLen(slice) = %d, want 7", n)
-	}
-	if n := sourceLen(nonCounting{collection.FromTrees(trees)}); n != -1 {
-		t.Fatalf("sourceLen(non-counting) = %d, want -1", n)
-	}
-}
-
 // nonCounting hides the Counter (and everything else) behind the bare
 // Source interface.
 type nonCounting struct{ collection.Source }
@@ -64,6 +57,47 @@ func TestEarliestBadTreeReported(t *testing.T) {
 			_, err = h.AverageRF(src, QueryOptions{RequireComplete: true, Workers: 4})
 			if err == nil || !strings.HasPrefix(err.Error(), "core: query tree 40: ") {
 				t.Fatalf("%T: AverageRF error = %v, want one naming query tree 40", src, err)
+			}
+		}
+	}
+}
+
+// TestQueryCancelMidPassKeepsFinishedResults: a multi-worker query pass
+// cancelled part-way returns exactly the results it finished — every one
+// OnResult saw and no other — in index order, each equal to an
+// uncancelled run's, for trees in memory and for a file.
+func TestQueryCancelMidPassKeepsFinishedResults(t *testing.T) {
+	trees, ts := randomCollection(43, 12, 2000)
+	h := buildHash(t, trees[:200], ts)
+	full, err := h.AverageRF(collection.FromTrees(trees), QueryOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []collection.Source{collection.FromTrees(trees), writeCollection(t, trees)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		res, err := h.AverageRF(src, QueryOptions{Workers: 4, Context: ctx, OnResult: func(r Result) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[r.Index] = true
+			if len(seen) == 100 {
+				cancel()
+			}
+		}})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%T: error %v, want context.Canceled", src, err)
+		}
+		if len(res) != len(seen) || len(res) >= len(trees) {
+			t.Fatalf("%T: returned %d results, OnResult saw %d of %d", src, len(res), len(seen), len(trees))
+		}
+		for i, r := range res {
+			if !seen[r.Index] || (i > 0 && res[i-1].Index >= r.Index) {
+				t.Fatalf("%T: result %d (query %d) was not finished, or is out of index order", src, i, r.Index)
+			}
+			if r.AvgRF != full[r.Index].AvgRF {
+				t.Fatalf("%T: query %d = %v, uncancelled run %v", src, r.Index, r.AvgRF, full[r.Index].AvgRF)
 			}
 		}
 	}

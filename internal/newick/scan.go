@@ -76,6 +76,10 @@ type Scanner struct {
 	endIsRead               bool
 	// blank is set when the statement holds no token at all.
 	blank bool
+	// Parallel workers allocate their scanners (and the extractors that
+	// end in one) side by side; the pad keeps the per-token writes off the
+	// cache lines of the next worker's.
+	_ [64]byte
 }
 
 // tokenKind enumerates the lexical token classes of the Newick grammar.
