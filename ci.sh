@@ -98,17 +98,19 @@ echo "== go test -race (one cancellation signal: cancel, deadline, drain, stitch
 go test -race -count=1 -run 'Cancel|Deadline|Drain|Stitched|Signal' \
   ./internal/core ./internal/distrib ./internal/serve ./internal/checkpoint ./cmd/bfhrf .
 
-echo "== go test -race (one-pass reference build: equivalence, read once, skip reported once, empty query) =="
+echo "== go test -race (one-pass reference build; exact weighted sums across workers, merges and deltas) =="
 # The reference catalogue is the first tree's leaf set, read in the same
 # pass as the build. The one-pass build must equal the union scan plus
 # build bit for bit, read each reference statement once, report each
 # skipped tree once, and treat an empty query collection as an error; the
 # single-node chaos sweep truncates files under exactly these passes. The
-# build starts its workers as the feed reaches them, so a small collection
-# of unknown size still builds on one worker, deterministically.
+# build starts all its workers at once: branch lengths are summed as
+# integer quanta, so any split of the trees among workers, a failover
+# merge and a delta epoch give the same Weighted bits, and a summed
+# length past the int64 range is an error, never a wrap.
 go test -race -count=1 \
-  -run 'TestBuildRefsMatchesTwoPass|TestReferenceStatementsReadOnce|TestBadTreeReportedOnce|TestEmptyQueryIsError|TestFirstTaxa|TestLenientReportsEachSkipOnce|TestChaosSingleNode|TestRampStartsOneWorkerPer64Trees|TestSmallBuildOfUnknownSizeIsDeterministic' \
-  . ./internal/collection ./internal/core ./internal/faultinject
+  -run 'TestBuildRefsMatchesTwoPass|TestReferenceStatementsReadOnce|TestBadTreeReportedOnce|TestEmptyQueryIsError|TestFirstTaxa|TestLenientReportsEachSkipOnce|TestChaosSingleNode|TestSmallBuildOfUnknownSizeIsDeterministic|TestWeightedBitIdenticalAcrossWorkers|TestWeightedIsExactDecimal|TestLengthOverflowIsAnError|TestMergeHashesMatchesSingleBuild|TestDeltaWithRandomLengthsIsExact' \
+  . ./internal/collection ./internal/core ./internal/faultinject ./internal/distrib ./internal/bfhsnap
 
 echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s ./internal/newick

@@ -131,8 +131,7 @@ func (h *Hash) AddTree(newickTree string) error {
 	if err != nil {
 		return err
 	}
-	h.h.AddSplits(bs)
-	return nil
+	return h.h.AddSplits(bs)
 }
 
 // RemoveTree subtracts a previously added reference tree (as Newick).

@@ -2,10 +2,12 @@ package bfhsnap
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"unsafe"
 
 	"repro/internal/bfhtable"
+	"repro/internal/bipart"
 )
 
 // Zero-copy views between the on-disk little-endian arrays and the
@@ -66,34 +68,37 @@ func u32sView(p []byte) []uint32 {
 }
 
 // entriesView interprets p (length 16n) as n entries: freq u32, size u32,
-// length-sum float64 bits — exactly bfhtable.Entry's memory layout.
-func entriesView(p []byte) []bfhtable.Entry {
+// length sum i64 in quanta — exactly bfhtable.Entry's memory layout. A
+// version-1 stream stored each sum as float64 bits instead; its entries
+// are decoded into a copy with every sum snapped to quanta, the format's
+// one decode shim.
+func entriesView(p []byte, version int) ([]bfhtable.Entry, error) {
 	n := len(p) / entrySize
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
-	if hostLittle && aligned8(p) {
-		return unsafe.Slice((*bfhtable.Entry)(unsafe.Pointer(&p[0])), n)
+	if version > 1 && hostLittle && aligned8(p) {
+		return unsafe.Slice((*bfhtable.Entry)(unsafe.Pointer(&p[0])), n), nil
 	}
 	out := make([]bfhtable.Entry, n)
 	for i := range out {
-		out[i] = decodeEntry(p[i*entrySize:])
+		q := p[i*entrySize:]
+		sum := binary.LittleEndian.Uint64(q[8:])
+		out[i] = bfhtable.Entry{Freq: binary.LittleEndian.Uint32(q[0:]), Size: binary.LittleEndian.Uint32(q[4:]), LengthSum: int64(sum)}
+		if version == 1 {
+			var err error
+			if out[i].LengthSum, err = bipart.Quantize(math.Float64frombits(sum)); err != nil {
+				return nil, fmt.Errorf("bfhsnap: version-1 length sum: %w", err)
+			}
+		}
 	}
-	return out
-}
-
-func decodeEntry(p []byte) bfhtable.Entry {
-	return bfhtable.Entry{
-		Freq:      binary.LittleEndian.Uint32(p[0:]),
-		Size:      binary.LittleEndian.Uint32(p[4:]),
-		LengthSum: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
-	}
+	return out, nil
 }
 
 func encodeEntry(p []byte, e bfhtable.Entry) {
 	binary.LittleEndian.PutUint32(p[0:], e.Freq)
 	binary.LittleEndian.PutUint32(p[4:], e.Size)
-	binary.LittleEndian.PutUint64(p[8:], math.Float64bits(e.LengthSum))
+	binary.LittleEndian.PutUint64(p[8:], uint64(e.LengthSum))
 }
 
 // u64sBytes returns s's little-endian wire bytes, aliasing on a matching

@@ -8,18 +8,22 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bfhtable"
+	"repro/internal/bipart"
 	"repro/internal/collection"
 	"repro/internal/core"
+	"repro/internal/newick"
+	"repro/internal/tree"
 )
 
 // Compatibility with snapshots written before the map backend was
 // removed. testdata/parent holds three epoch stores built from
 // testdata/parent/refs.nwk (12 taxa, 24 trees, one build worker, two
 // table shards) by that earlier release: one open-addressing, one
-// succinct, and one compressed-key map epoch. The table formats did not
-// change, so the first two load unchanged — their MANIFESTs still carry
-// the retired "compressed": false field — and the map epoch is refused
-// with an error naming the removed backend.
+// succinct, and one compressed-key map epoch. The first two are format
+// version 1, whose float64 length sums load converted to quanta — their
+// MANIFESTs still carry the retired "compressed": false field — and the
+// map epoch is refused with an error naming the removed backend.
 
 // copyStore copies a committed epoch store into a scratch directory, so
 // Open's crash recovery never touches testdata.
@@ -95,8 +99,10 @@ func TestParentEpochsLoad(t *testing.T) {
 		sameVector(t, queryVector(t, e.Hash, fresh.Taxa(), 3, 8), queryVector(t, fresh, fresh.Taxa(), 3, 8), b.String())
 		e.Release()
 
-		// The section encoding is unchanged: a fresh save of the same
-		// build writes byte-identical part files.
+		// Version 2 changed the entry encoding, so a fresh save of the
+		// same build writes the part files of the committed version-2
+		// store (testdata/v2, saved from refs.nwk with the same
+		// settings), byte for byte.
 		out, err := Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -114,14 +120,55 @@ func TestParentEpochsLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join(dir, "epoch-000001", p.File))
+			want, err := os.ReadFile(filepath.Join("testdata", "v2", b.String(), "epoch-000001", p.File))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%v: %s differs from the committed part file", b, p.File)
+				t.Errorf("%v: %s differs from the committed version-2 part file", b, p.File)
 			}
 		}
+	}
+}
+
+// TestDeltaOverVersion1Epoch: a delta over a version-1 epoch rewrites
+// only the parts it touches, as version 2, and links the rest; the mixed
+// epoch loads and equals the version-1 hash with the same update applied
+// in memory.
+func TestDeltaOverVersion1Epoch(t *testing.T) {
+	for _, b := range allBackends {
+		s, err := Open(copyStore(t, b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.Pin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := buildParentRefs(t, b)
+		add := []*tree.Tree{newick.MustParse("((t0000:0.1,t0001:0.2):0.3,((t0002:0.1,t0003:0.1):0.7,(t0004:1,t0005:1):1):1," +
+			"((t0006:1,t0007:1):0.2,(t0008:1,(t0009:1,(t0010:1,t0011:1):0.1):0.2):0.3):0.4);")}
+		// Keep only the splits of shard 0, so part 1 stays a version-1 link.
+		shard0 := func(bp bipart.Bipartition) bool { return bfhtable.ShardIndex(bp.Hash(), base.Hash.NumShards()) == 0 }
+		base.Release()
+		res, err := s.Delta(add, nil, shard0, true)
+		if err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		if res.PartsWritten != 1 || res.PartsLinked != 1 {
+			t.Fatalf("%v: delta wrote %d parts and linked %d, want 1 and 1", b, res.PartsWritten, res.PartsLinked)
+		}
+		if err := want.AddTree(add[0], shard0, true); err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.Pin()
+		if err != nil {
+			t.Fatalf("%v: mixed-version epoch: %v", b, err)
+		}
+		if err := VerifyAgainst(e.Hash, want); err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		e.Release()
 	}
 }
 

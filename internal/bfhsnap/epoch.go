@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,16 +50,15 @@ const (
 // Totals live here, not in the part headers: copy-on-write hard-links
 // part files from older epochs whose embedded headers are stale.
 type Manifest struct {
-	Version    int    `json:"version"`
-	Epoch      int    `json:"epoch"`
-	Layout     string `json:"layout"`
-	Backend    string `json:"backend"`
-	Weighted   bool   `json:"weighted"`
-	Trees      int    `json:"trees"`
-	Sum        uint64 `json:"sum"`
-	LenSumBits uint64 `json:"len_sum_bits"`
-	Taxa       int    `json:"taxa"`
-	Shards     int    `json:"shards"`
+	Version  int    `json:"version"`
+	Epoch    int    `json:"epoch"`
+	Layout   string `json:"layout"`
+	Backend  string `json:"backend"`
+	Weighted bool   `json:"weighted"`
+	Trees    int    `json:"trees"`
+	Sum      uint64 `json:"sum"`
+	Taxa     int    `json:"taxa"`
+	Shards   int    `json:"shards"`
 	// Fingerprint is core.FreqHash.Fingerprint for table layout and the
 	// coordinator's collection fingerprint for worker layout.
 	Fingerprint uint64 `json:"fingerprint"`
@@ -78,9 +76,6 @@ type ManifestPart struct {
 	From int    `json:"from"`
 	To   int    `json:"to"`
 }
-
-// LenSum decodes the exact weighted total.
-func (m *Manifest) LenSum() float64 { return math.Float64frombits(m.LenSumBits) }
 
 // Store manages the epoch directory. Pin counts and obsolescence marks
 // are in-process state: epochs are only reaped by the process that
@@ -404,7 +399,6 @@ func manifestFor(h *core.FreqHash) *Manifest {
 		Weighted:    h.Weighted(),
 		Trees:       h.NumTrees(),
 		Sum:         h.TotalBipartitions(),
-		LenSumBits:  math.Float64bits(h.TotalLengthSum()),
 		Taxa:        h.Taxa().Len(),
 		Shards:      h.NumShards(),
 		Fingerprint: h.Fingerprint(),
@@ -518,7 +512,7 @@ func (s *Store) loadEpoch(n int) (*Epoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.OverrideTotals(man.Trees, man.Sum, man.LenSum(), man.Weighted)
+	l.OverrideTotals(man.Trees, man.Sum, man.Weighted)
 	for _, p := range man.Parts {
 		if err := s.readPart(l, n, p); err != nil {
 			return nil, err

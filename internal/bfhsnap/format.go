@@ -9,9 +9,8 @@
 // dictionary, one section per table shard), and a footer carrying a
 // whole-file digest. Shard sections hold the tables' slot arrays
 // verbatim, so a load installs them wholesale via bfhtable's restore
-// paths — one validation pass, no per-entry re-insert — and the weighted
-// totals are carried as exact float64 bits, making a save/load round trip
-// bit-identical.
+// paths — one validation pass, no per-entry re-insert. Length sums are
+// integer quanta, so a save/load round trip is bit-identical.
 //
 // The epoch store lays snapshots out as snap/epoch-NNNNNN/ directories
 // published by directory rename with a CURRENT pointer, so a crash never
@@ -22,7 +21,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"repro/internal/core"
 )
@@ -32,11 +30,11 @@ import (
 // not know).
 const Magic = "BFHSNAP1"
 
-// FormatVersion is the current header version. Readers accept equal
-// versions only: the format carries raw table storage whose invariants are
-// version-specific, so cross-version compatibility is by re-save, not by
-// decode shims.
-const FormatVersion = 1
+// FormatVersion is the header version every save writes: length sums are
+// int64 quanta. Readers also accept version 1, whose float64 sums they
+// convert on load (entriesView), and refuse any other: the format carries
+// raw table storage whose invariants are version-specific.
+const FormatVersion = 2
 
 // Section kinds (FORMATS.md "Section catalogue").
 const (
@@ -101,7 +99,7 @@ type Header struct {
 	ShardTo   int  // one past the last shard in this stream
 	Trees     int
 	Sum       uint64
-	LenSum    float64
+	LenSum    int64 // Σ length in quanta; 0 in version 1, whose float total is not read
 	TaxaNames []string
 }
 
@@ -149,7 +147,7 @@ func encodeHeader(h *Header) ([]byte, error) {
 	binary.LittleEndian.PutUint32(p[12:], uint32(h.ShardTo))
 	binary.LittleEndian.PutUint64(p[16:], uint64(h.Trees))
 	binary.LittleEndian.PutUint64(p[24:], h.Sum)
-	binary.LittleEndian.PutUint64(p[32:], math.Float64bits(h.LenSum))
+	binary.LittleEndian.PutUint64(p[32:], uint64(h.LenSum))
 	binary.LittleEndian.PutUint32(p[40:], uint32(len(h.TaxaNames)))
 	for _, name := range h.TaxaNames {
 		p = binary.AppendUvarint(p, uint64(len(name)))
@@ -164,8 +162,8 @@ func decodeHeader(p []byte) (*Header, error) {
 		return nil, fmt.Errorf("bfhsnap: header payload is %d bytes, need at least 44", len(p))
 	}
 	h := &Header{Version: int(binary.LittleEndian.Uint16(p[0:]))}
-	if h.Version != FormatVersion {
-		return nil, fmt.Errorf("bfhsnap: header version %d, this reader handles %d", h.Version, FormatVersion)
+	if h.Version != 1 && h.Version != FormatVersion {
+		return nil, fmt.Errorf("bfhsnap: header version %d, this reader handles 1 and %d", h.Version, FormatVersion)
 	}
 	var err error
 	if h.Backend, err = backendFromCode(p[2]); err != nil {
@@ -185,7 +183,9 @@ func decodeHeader(p []byte) (*Header, error) {
 	h.ShardTo = int(binary.LittleEndian.Uint32(p[12:]))
 	h.Trees = int(binary.LittleEndian.Uint64(p[16:]))
 	h.Sum = binary.LittleEndian.Uint64(p[24:])
-	h.LenSum = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
+	if h.Version > 1 {
+		h.LenSum = int64(binary.LittleEndian.Uint64(p[32:]))
+	}
 	nTaxa := int(binary.LittleEndian.Uint32(p[40:]))
 	switch {
 	case h.Shards < 1 || h.Shards > maxShards || h.Shards&(h.Shards-1) != 0:
@@ -222,13 +222,12 @@ func decodeHeader(p []byte) (*Header, error) {
 }
 
 // sameHash reports whether two part headers describe parts of the same
-// hash. Totals and flags are deliberately ignored: copy-on-write epochs
-// hard-link unchanged part files from older epochs, whose embedded totals
-// (and weighted flag) are stale — the MANIFEST carries the live values.
+// hash. Versions, totals and flags are deliberately ignored: copy-on-write
+// epochs hard-link unchanged part files from older epochs, whose embedded
+// totals (and weighted flag) are stale — the MANIFEST carries the live
+// values — and which may predate the current version.
 func (h *Header) sameHash(o *Header) error {
 	switch {
-	case h.Version != o.Version:
-		return fmt.Errorf("bfhsnap: part version %d vs %d", o.Version, h.Version)
 	case h.Backend != o.Backend:
 		return fmt.Errorf("bfhsnap: part backend %v vs %v", o.Backend, h.Backend)
 	case h.Shards != o.Shards:

@@ -378,3 +378,56 @@ func TestDeltaEquivalence(t *testing.T) {
 		e.Release()
 	}
 }
+
+// TestDeltaWithRandomLengthsIsExact: a delta that adds some trees and
+// retires others, all with 17-digit random lengths, publishes an epoch
+// that, compacted and reopened, equals a from-scratch build of the
+// resulting collection: length sums and Weighted answers included, bit
+// for bit, although the two summed the lengths in different orders.
+func TestDeltaWithRandomLengthsIsExact(t *testing.T) {
+	trees, ts := testCollection(31, 20, 90)
+	rng := rand.New(rand.NewSource(32))
+	for _, tr := range trees {
+		tr.Postorder(func(nd *tree.Node) { nd.Length, nd.HasLength = rng.Float64(), true })
+	}
+	kept := append(append([]*tree.Tree{}, trees[:10]...), trees[40:]...)
+	weighted := func(h *core.FreqHash) []core.Result {
+		res, err := h.AverageRF(collection.FromTrees(trees[:20]), core.QueryOptions{Variant: core.Weighted, RequireComplete: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, b := range allBackends {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SaveEpoch(buildOn(t, b, trees[:60], ts, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Delta(trees[60:], trees[10:40], nil, true); err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		s.Compact()
+		if s, err = Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.Pin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := buildOn(t, b, kept, ts, 4)
+		if err := VerifyAgainst(e.Hash, scratch); err != nil {
+			t.Fatalf("%v: delta vs scratch: %v", b, err)
+		}
+		got, want := weighted(e.Hash), weighted(scratch)
+		for i := range want {
+			if math.Float64bits(got[i].AvgRF) != math.Float64bits(want[i].AvgRF) {
+				t.Fatalf("%v: query %d = %v, scratch build %v", b, i, got[i].AvgRF, want[i].AvgRF)
+			}
+		}
+		e.Release()
+	}
+}

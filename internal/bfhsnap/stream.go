@@ -397,7 +397,6 @@ type Loader struct {
 
 	trees    int
 	sum      uint64
-	lenSum   float64
 	weighted bool
 
 	gotDict bool
@@ -413,7 +412,7 @@ func NewLoader(hdr *Header) (*Loader, error) {
 	}
 	l := &Loader{
 		hdr: hdr, ts: ts,
-		trees: hdr.Trees, sum: hdr.Sum, lenSum: hdr.LenSum, weighted: hdr.Weighted,
+		trees: hdr.Trees, sum: hdr.Sum, weighted: hdr.Weighted,
 		covered: make([]bool, hdr.Shards),
 	}
 	if hdr.Backend == core.BackendSuccinct {
@@ -426,8 +425,8 @@ func NewLoader(hdr *Header) (*Loader, error) {
 
 // OverrideTotals replaces the header-derived totals with authoritative
 // ones (an epoch MANIFEST's); call before Finish.
-func (l *Loader) OverrideTotals(trees int, sum uint64, lenSum float64, weighted bool) {
-	l.trees, l.sum, l.lenSum, l.weighted = trees, sum, lenSum, weighted
+func (l *Loader) OverrideTotals(trees int, sum uint64, weighted bool) {
+	l.trees, l.sum, l.weighted = trees, sum, weighted
 }
 
 // ReadStream consumes one snapshot stream (a whole file or one epoch
@@ -542,8 +541,11 @@ func (l *Loader) installOAShard(hdr *Header, p []byte) error {
 	off += capacity * 8
 	words := u64sView(p[off : off+capacity*nw*8])
 	off += capacity * nw * 8
-	entries := entriesView(p[off:])
-	err := l.oa.InstallShard(s, bfhtable.TableShard{
+	entries, err := entriesView(p[off:], hdr.Version)
+	if err != nil {
+		return err
+	}
+	err = l.oa.InstallShard(s, bfhtable.TableShard{
 		Hashes: hashes, Words: words, Entries: entries, Used: used, Live: live,
 	})
 	if err != nil {
@@ -578,10 +580,13 @@ func (l *Loader) installSuccShard(hdr *Header, p []byte) error {
 	off += capacity * 4
 	offs := u32sView(p[off : off+capacity*4])
 	off += capacity * 4
-	entries := entriesView(p[off : off+capacity*entrySize])
+	entries, err := entriesView(p[off:off+capacity*entrySize], hdr.Version)
+	if err != nil {
+		return err
+	}
 	off += capacity * entrySize
 	arena := p[off:]
-	err := l.st.InstallShard(s, bfhtable.SuccinctShard{
+	err = l.st.InstallShard(s, bfhtable.SuccinctShard{
 		Hashes: hashes, Meta: meta, Offs: offs, Entries: entries, Arena: arena,
 		Used: used, Live: live,
 	})
@@ -592,8 +597,7 @@ func (l *Loader) installSuccShard(hdr *Header, p []byte) error {
 }
 
 // Finish validates coverage and adopts the assembled storage as a
-// FreqHash, cross-checking the totals and restoring the exact weighted
-// sums the saved hash held.
+// FreqHash, cross-checking the totals.
 func (l *Loader) Finish() (*core.FreqHash, error) {
 	for s, ok := range l.covered {
 		if !ok {
@@ -606,10 +610,10 @@ func (l *Loader) Finish() (*core.FreqHash, error) {
 			return nil, fmt.Errorf("bfhsnap: frozen snapshot carries no dictionary section")
 		}
 		spec.Backend = core.BackendSuccinct
-		return core.AdoptSuccinct(spec, l.st, l.sum, l.lenSum)
+		return core.AdoptSuccinct(spec, l.st, l.sum)
 	}
 	spec.Backend = core.BackendOpenAddressing
-	return core.AdoptTable(spec, l.oa, l.sum, l.lenSum)
+	return core.AdoptTable(spec, l.oa, l.sum)
 }
 
 // ReadHeader decodes just the header section of a stream.
@@ -663,6 +667,9 @@ func ReadStream(r io.Reader, size int64) (*core.FreqHash, *Header, error) {
 	h, err := l.Finish()
 	if err != nil {
 		return nil, nil, err
+	}
+	if hdr.Version > 1 && h.TotalLengthSum() != hdr.LenSum {
+		return nil, nil, fmt.Errorf("bfhsnap: entries sum to %d length quanta, header declares %d", h.TotalLengthSum(), hdr.LenSum)
 	}
 	return h, hdr, nil
 }

@@ -35,11 +35,12 @@ import (
 
 // Entry is the per-bipartition record: the reference frequency, the
 // popcount of the canonical mask (kept so size-dependent variants never
-// decode keys), and the accumulated inducing-edge length for weighted RF.
+// decode keys), and the accumulated inducing-edge length for weighted RF
+// in 10⁻⁹ quanta (bipart.Quantize), exact whatever the order of adds.
 type Entry struct {
 	Freq      uint32
 	Size      uint32
-	LengthSum float64
+	LengthSum int64
 }
 
 // minShardCap is the initial slot count of a non-empty shard. Power of
@@ -212,10 +213,10 @@ func (s *shard) upsert(h uint64, words []uint64, nw int) int {
 }
 
 // Add folds one bipartition occurrence: Freq++, Size recorded, LengthSum
-// accumulated (pass 0 for unweighted input). words must hold exactly
+// accumulated in quanta (pass 0 for unweighted input). words must hold exactly
 // WordsPerKey words; they are copied into the arena on first insertion, so
 // the caller may reuse the slice.
-func (t *Table) Add(words []uint64, size uint32, length float64) {
+func (t *Table) Add(words []uint64, size uint32, length int64) {
 	h := t.hashOf(words)
 	s := t.shardOf(h)
 	i := s.upsert(h, words, t.nw)
@@ -312,7 +313,7 @@ func (t *Table) Lookup1Hashed(h uint64, w uint64) (Entry, bool) {
 // LengthSum. A key whose frequency reaches 0 stays in the table as a
 // keyed tombstone — probe chains stay intact and a later Add revives it —
 // but no longer counts as live. Dec reports whether a live entry existed.
-func (t *Table) Dec(words []uint64, length float64) bool {
+func (t *Table) Dec(words []uint64, length int64) bool {
 	h := t.hashOf(words)
 	s := t.shardOf(h)
 	if s.used == 0 {
@@ -333,7 +334,6 @@ func (t *Table) Dec(words []uint64, length float64) bool {
 			e.Freq--
 			e.LengthSum -= length
 			if e.Freq == 0 {
-				e.LengthSum = 0 // shed float dust so a revived entry restarts clean
 				s.live--
 			}
 			return true

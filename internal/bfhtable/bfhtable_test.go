@@ -14,14 +14,14 @@ func TestAddLookup(t *testing.T) {
 	if _, ok := tb.Lookup(a); ok {
 		t.Fatal("lookup on empty table hit")
 	}
-	tb.Add(a, 3, 1.5)
-	tb.Add(a, 3, 2.5)
+	tb.Add(a, 3, 15)
+	tb.Add(a, 3, 25)
 	tb.Add(b, 5, 0)
 	if tb.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tb.Len())
 	}
 	e, ok := tb.Lookup(a)
-	if !ok || e.Freq != 2 || e.Size != 3 || e.LengthSum != 4.0 {
+	if !ok || e.Freq != 2 || e.Size != 3 || e.LengthSum != 40 {
 		t.Fatalf("Lookup(a) = %+v, %v", e, ok)
 	}
 	e, ok = tb.Lookup(b)
@@ -148,7 +148,7 @@ func TestMergeMatchesSerialFold(t *testing.T) {
 		locals[p] = New(1, 8)
 		for i := 0; i < perPart; i++ {
 			k := uint64(rng.Intn(universe))
-			l := float64(k%7) * 0.25
+			l := int64(k%7) * 25
 			locals[p].Add([]uint64{k}, uint32(k%13), l)
 			e := ref[k]
 			e.Freq++

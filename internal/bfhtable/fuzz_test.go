@@ -54,7 +54,7 @@ func FuzzTable(f *testing.F) {
 			switch op % 2 {
 			case 0: // insert
 				size := uint32(op) % 17
-				length := float64(op%5) * 0.5
+				length := int64(op%5) * 5
 				tb.Add(words, size, length)
 				e := ref[key]
 				e.Freq++
@@ -63,7 +63,7 @@ func FuzzTable(f *testing.F) {
 				ref[key] = e
 			case 1: // decrement
 				e, ok := ref[key]
-				got := tb.Dec(words, 0.5)
+				got := tb.Dec(words, 5)
 				if got != (ok && e.Freq > 0) {
 					t.Fatalf("Dec(%x) = %v, ref has freq %d", key, got, e.Freq)
 				}
@@ -71,10 +71,7 @@ func FuzzTable(f *testing.F) {
 					// Dec on an already-dead key is a no-op in the table;
 					// mirror that here or the reference count underflows.
 					e.Freq--
-					e.LengthSum -= 0.5
-					if e.Freq == 0 {
-						e.LengthSum = 0
-					}
+					e.LengthSum -= 5
 					ref[key] = e
 				}
 			}
@@ -218,7 +215,7 @@ func FuzzSuccinct(f *testing.F) {
 			switch op % 3 {
 			case 0: // insert
 				size := uint32(ones)
-				length := float64(op%5) * 0.5
+				length := int64(op%5) * 5
 				st.Add(words, size, length)
 				e := ref[rk]
 				e.Freq++
@@ -227,16 +224,13 @@ func FuzzSuccinct(f *testing.F) {
 				ref[rk] = e
 			case 1: // decrement
 				e, ok := ref[rk]
-				got := st.Dec(words, 0.5)
+				got := st.Dec(words, 5)
 				if got != (ok && e.Freq > 0) {
 					t.Fatalf("Dec = %v, ref freq %d", got, e.Freq)
 				}
 				if ok && e.Freq > 0 {
 					e.Freq--
-					e.LengthSum -= 0.5
-					if e.Freq == 0 {
-						e.LengthSum = 0
-					}
+					e.LengthSum -= 5
 					ref[rk] = e
 				}
 			case 2: // freeze (idempotent; exercises dictionary re-encode)

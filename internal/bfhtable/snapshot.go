@@ -2,6 +2,7 @@ package bfhtable
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -240,34 +241,38 @@ func ShardIndex(h uint64, shards int) int {
 	return int(h >> shift)
 }
 
-// Totals sums the stored records — Σ Freq and Σ LengthSum over every
-// occupied slot (tombstones contribute zero). Restore paths use the
-// frequency total to cross-check a snapshot's declared instance count.
-func (t *Table) Totals() (sum uint64, lenSum float64) {
+// Totals sums the stored records over every occupied slot: Σ Freq,
+// Σ LengthSum and Σ |LengthSum|, the last saturating at MaxUint64.
+// Restore paths cross-check the frequency total against a snapshot's
+// declared instance count and bound the length sums by the last.
+func (t *Table) Totals() (sum uint64, lenSum int64, lenAbs uint64) {
 	for i := range t.shards {
-		sh := &t.shards[i]
-		for j, h := range sh.hashes {
-			if h == 0 {
-				continue
-			}
-			sum += uint64(sh.entries[j].Freq)
-			lenSum += sh.entries[j].LengthSum
-		}
+		sum, lenSum, lenAbs = addTotals(sum, lenSum, lenAbs, t.shards[i].hashes, t.shards[i].entries)
 	}
-	return sum, lenSum
+	return sum, lenSum, lenAbs
 }
 
 // Totals is Table.Totals for the succinct backend.
-func (t *SuccinctTable) Totals() (sum uint64, lenSum float64) {
+func (t *SuccinctTable) Totals() (sum uint64, lenSum int64, lenAbs uint64) {
 	for i := range t.shards {
-		sh := &t.shards[i]
-		for j, h := range sh.hashes {
-			if h == 0 {
-				continue
-			}
-			sum += uint64(sh.entries[j].Freq)
-			lenSum += sh.entries[j].LengthSum
+		sum, lenSum, lenAbs = addTotals(sum, lenSum, lenAbs, t.shards[i].hashes, t.shards[i].entries)
+	}
+	return sum, lenSum, lenAbs
+}
+
+// addTotals folds one shard's occupied slots into the running Totals.
+func addTotals(sum uint64, lenSum int64, lenAbs uint64, hashes []uint64, entries []Entry) (uint64, int64, uint64) {
+	for j, h := range hashes {
+		if h == 0 {
+			continue
+		}
+		e := entries[j]
+		sum += uint64(e.Freq)
+		lenSum += e.LengthSum
+		a := uint64(max(e.LengthSum, -e.LengthSum)) // |MinInt64| too
+		if lenAbs += a; lenAbs < a {
+			lenAbs = math.MaxUint64
 		}
 	}
-	return sum, lenSum
+	return sum, lenSum, lenAbs
 }

@@ -40,10 +40,10 @@ func TestTableExportInstallRoundTrip(t *testing.T) {
 			t.Fatalf("restored table missing key %x", k)
 		}
 	}
-	wantSum, wantLen := src.Totals()
-	gotSum, gotLen := dst.Totals()
-	if gotSum != wantSum || gotLen != wantLen {
-		t.Fatalf("Totals = (%d, %v), want (%d, %v)", gotSum, gotLen, wantSum, wantLen)
+	wantSum, wantLen, wantAbs := src.Totals()
+	gotSum, gotLen, gotAbs := dst.Totals()
+	if gotSum != wantSum || gotLen != wantLen || gotAbs != wantAbs {
+		t.Fatalf("Totals = (%d, %d, %d), want (%d, %d, %d)", gotSum, gotLen, gotAbs, wantSum, wantLen, wantAbs)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestSuccinctExportInstallRoundTrip(t *testing.T) {
 		if k[0] == 0 && k[1] == 0 {
 			k[0] = 1
 		}
-		src.Add(k, 7, 0.5)
+		src.Add(k, 7, 5)
 		keys = append(keys, k)
 	}
 	src.Freeze()
@@ -130,10 +130,10 @@ func TestSuccinctExportInstallRoundTrip(t *testing.T) {
 			t.Fatalf("restored table missing key %x", k)
 		}
 	}
-	wantSum, wantLen := src.Totals()
-	gotSum, gotLen := dst.Totals()
-	if gotSum != wantSum || gotLen != wantLen {
-		t.Fatalf("Totals = (%d, %v), want (%d, %v)", gotSum, gotLen, wantSum, wantLen)
+	wantSum, wantLen, wantAbs := src.Totals()
+	gotSum, gotLen, gotAbs := dst.Totals()
+	if gotSum != wantSum || gotLen != wantLen || gotAbs != wantAbs {
+		t.Fatalf("Totals = (%d, %d, %d), want (%d, %d, %d)", gotSum, gotLen, gotAbs, wantSum, wantLen, wantAbs)
 	}
 	r0, s0, c0, d0 := src.KeyByteTotals()
 	r1, s1, c1, d1 := dst.KeyByteTotals()

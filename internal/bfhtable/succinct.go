@@ -298,7 +298,7 @@ func encodingIndex(tag byte) int {
 // hold the canonical mask; they are encoded into the arena on first
 // insertion, so the caller may reuse the slice. Add is single-owner:
 // concurrent mutation is not safe (build workers own private tables).
-func (t *SuccinctTable) Add(words []uint64, size uint32, length float64) {
+func (t *SuccinctTable) Add(words []uint64, size uint32, length int64) {
 	var meta uint32
 	t.enc, meta = t.appendEncode(t.enc[:0], words)
 	h := t.hashOf(words)
@@ -370,7 +370,7 @@ func (t *SuccinctTable) Lookup(words []uint64) (Entry, bool) {
 // Dec subtracts one occurrence, with Table.Dec's keyed-tombstone
 // semantics: a key whose frequency reaches 0 stays in the arena so probe
 // chains stay intact and a later Add revives it. Single-owner like Add.
-func (t *SuccinctTable) Dec(words []uint64, length float64) bool {
+func (t *SuccinctTable) Dec(words []uint64, length int64) bool {
 	var meta uint32
 	t.enc, meta = t.appendEncode(t.enc[:0], words)
 	h := t.hashOf(words)
@@ -392,7 +392,6 @@ func (t *SuccinctTable) Dec(words []uint64, length float64) bool {
 			e.Freq--
 			e.LengthSum -= length
 			if e.Freq == 0 {
-				e.LengthSum = 0 // shed float dust so a revived entry restarts clean
 				s.live--
 			}
 			return true

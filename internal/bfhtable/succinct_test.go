@@ -51,8 +51,8 @@ func TestSuccinctMatchesTable(t *testing.T) {
 			masks = append(masks, m)
 			reps := 1 + rng.Intn(3)
 			for r := 0; r < reps; r++ {
-				oa.Add(m, popcount(m), 0.25)
-				st.Add(m, popcount(m), 0.25)
+				oa.Add(m, popcount(m), 25)
+				st.Add(m, popcount(m), 25)
 			}
 		}
 		if oa.Len() != st.Len() {
@@ -93,7 +93,7 @@ func TestSuccinctMatchesTable(t *testing.T) {
 		// Dec some keys to tombstones and past them; both must agree.
 		for i := 0; i < 40; i++ {
 			m := masks[rng.Intn(len(masks))]
-			if oa.Dec(m, 0.25) != st.Dec(m, 0.25) {
+			if oa.Dec(m, 25) != st.Dec(m, 25) {
 				t.Fatalf("width=%d: Dec disagreement", width)
 			}
 		}
@@ -107,8 +107,8 @@ func TestSuccinctMatchesTable(t *testing.T) {
 		// Post-freeze inserts (tombstone revival included) still agree.
 		for i := 0; i < 40; i++ {
 			m := masks[rng.Intn(len(masks))]
-			oa.Add(m, popcount(m), 0.5)
-			st.Add(m, popcount(m), 0.5)
+			oa.Add(m, popcount(m), 5)
+			st.Add(m, popcount(m), 5)
 		}
 		if oa.Len() != st.Len() {
 			t.Fatalf("width=%d after revive: Len %d vs %d", width, st.Len(), oa.Len())

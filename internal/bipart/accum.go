@@ -28,6 +28,8 @@ type accum struct {
 	anchor  int
 	// err is the first catalogue error (unknown or duplicate leaf).
 	err error
+	// badLength is the first length Quantize refuses (0, a valid one: none).
+	badLength float64
 	// open holds the masks of the open subtrees, open[0] the root's.
 	open   []*bitset.Bits
 	splits []rawSplit
@@ -46,7 +48,7 @@ func (e *Extractor) begin() {
 	a := &e.acc
 	a.n = e.Taxa.Len()
 	e.resetSeen(a.n)
-	a.present, a.anchor, a.err = 0, -1, nil
+	a.present, a.anchor, a.err, a.badLength = 0, -1, nil, 0
 	a.open, a.splits = a.open[:0], a.splits[:0]
 	a.rootKids, a.second = 0, -1
 }
@@ -112,9 +114,13 @@ func (e *Extractor) closeSubtree(length float64, hasLength bool) {
 }
 
 // complete collects the edge above a finished subtree (m nil: a pendant
-// edge not kept) and counts the root's children.
+// edge not kept), checks its length as Quantize would, kept or not, and
+// counts the root's children.
 func (e *Extractor) complete(m *bitset.Bits, length float64, hasLength bool) {
 	a := &e.acc
+	if hasLength && a.badLength == 0 && !(length < maxLength && length > -maxLength) {
+		a.badLength = length
+	}
 	at := -1
 	if m != nil {
 		at = len(a.splits)
@@ -128,13 +134,17 @@ func (e *Extractor) complete(m *bitset.Bits, length float64, hasLength bool) {
 }
 
 // finish ends the walk. A non-nil err (a syntax error of the source)
-// takes precedence over the catalogue errors, then too few taxa, then
-// incomplete coverage. On success the collected masks become the
-// canonical bipartitions, in postorder edge order.
+// takes precedence over the catalogue errors, then a bad length, then too
+// few taxa, then incomplete coverage. On success the collected masks
+// become the canonical bipartitions, in postorder edge order, with their
+// lengths snapped to quanta: the one place the extractor records them.
 func (e *Extractor) finish(err error) ([]Bipartition, error) {
 	a := &e.acc
 	if err == nil {
 		err = a.err
+	}
+	if err == nil && a.badLength != 0 {
+		_, err = Quantize(a.badLength)
 	}
 	if err == nil && a.present < 2 {
 		err = fmt.Errorf("bipart: tree has %d taxa; need at least 2", a.present)
@@ -169,7 +179,11 @@ func (e *Extractor) finish(err error) ([]Bipartition, error) {
 			if c.Test(a.anchor) {
 				c.ComplementInPlace()
 			}
-			b := Bipartition{mask: c, hash: maskHash(c.Words()), Length: s.length, HasLength: s.hasLength}
+			b := Bipartition{mask: c, hash: maskHash(c.Words()), HasLength: s.hasLength}
+			if s.hasLength {
+				b.Quanta = snap(s.length)
+				b.Length = float64(b.Quanta) / QuantaPerUnit
+			}
 			if (e.IncludeTrivial || !b.IsTrivial(a.present)) && (e.Filter == nil || e.Filter(b)) {
 				out = append(out, b)
 				if e.ReuseMasks {

@@ -11,6 +11,7 @@ package bipart
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitset"
 	"repro/internal/newick"
@@ -26,11 +27,32 @@ type Bipartition struct {
 	// table's hashing rule, computed once at construction while the words
 	// are cache-hot. See Hash.
 	hash uint64
-	// Length is the length of the inducing edge (for weighted-RF variants);
-	// valid only when HasLength is true.
+	// Length is the length of the inducing edge (for weighted-RF variants)
+	// snapped to the 10⁻⁹ grid, and Quanta its exact count of 10⁻⁹, which
+	// the hash sums (see Quantize). Valid only when HasLength is true.
 	Length    float64
+	Quanta    int64
 	HasLength bool
 }
+
+// QuantaPerUnit is the number of quanta, 10⁻⁹ each, in one unit of length;
+// maxLength, just under 2⁶³ quanta, bounds |length| so a count fits int64.
+const QuantaPerUnit, maxLength = 1e9, 9.2e9
+
+// Quantize snaps a branch length to the nearest multiple of 10⁻⁹ and
+// returns that multiple's count: exact for lengths with at most nine
+// fractional digits (below about 2.2×10⁶, where a float64 still holds the
+// ninth digit), rounded once, here, for longer ones. A length that is not
+// finite, or not below 9.2×10⁹ in magnitude, is an error.
+func Quantize(length float64) (int64, error) {
+	if !(length < maxLength && length > -maxLength) {
+		return 0, fmt.Errorf("bipart: branch length %v is not finite or not below %g in magnitude", length, maxLength)
+	}
+	return snap(length), nil
+}
+
+// snap is Quantize for a length already checked.
+func snap(length float64) int64 { return int64(math.RoundToEven(length * QuantaPerUnit)) }
 
 // maskHash is the one hashing rule shared with the open-addressing table
 // (bfhtable.Table.hashOf): the cheap inlinable HashWord on one-word masks,

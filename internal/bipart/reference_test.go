@@ -14,8 +14,9 @@ import (
 )
 
 // referenceExtract is the two-pass tree extractor Extract replaced, kept
-// verbatim as an independent oracle: a Postorder pass maps leaves to
-// catalogue indices and finds the anchor, then an iterative postorder
+// as an independent oracle: a Postorder pass maps leaves to catalogue
+// indices, checks every edge's length and finds the anchor, then an
+// iterative postorder
 // with one pooled mask per frame copies, canonicalizes and hashes every
 // edge's mask. Extract must equal it bit for bit, errors included, on
 // every tree whose root has no parent.
@@ -34,9 +35,10 @@ func (e *Extractor) referenceExtract(t *tree.Tree) ([]Bipartition, error) {
 	// (lowest-indexed taxon present).
 	present := 0
 	anchor := -1
-	var leafErr error
+	var leafErr, lenErr error
 	seen := e.resetSeen(n)
 	t.Postorder(func(nd *tree.Node) {
+		lenErr = lengthErr(lenErr, nd)
 		if leafErr != nil || !nd.IsLeaf() {
 			return
 		}
@@ -57,6 +59,9 @@ func (e *Extractor) referenceExtract(t *tree.Tree) ([]Bipartition, error) {
 	})
 	if leafErr != nil {
 		return nil, leafErr
+	}
+	if lenErr != nil {
+		return nil, lenErr
 	}
 	if present < 2 {
 		return nil, fmt.Errorf("bipart: tree has %d taxa; need at least 2", present)
@@ -116,7 +121,10 @@ func (e *Extractor) referenceExtract(t *tree.Tree) ([]Bipartition, error) {
 				c.ComplementInPlace()
 			}
 			b := Bipartition{mask: c, hash: maskHash(c.Words())}
-			b.Length, b.HasLength = nd.Length, nd.HasLength
+			if nd.HasLength {
+				b.Quanta = int64(math.RoundToEven(nd.Length * 1e9))
+				b.Length, b.HasLength = float64(b.Quanta)/1e9, true
+			}
 			if (e.IncludeTrivial || !b.IsTrivial(present)) &&
 				(e.Filter == nil || e.Filter(b)) {
 				out = append(out, b)
@@ -139,9 +147,22 @@ func (e *Extractor) referenceExtract(t *tree.Tree) ([]Bipartition, error) {
 	return out, nil
 }
 
+// lengthErr is err, or when err is nil the error for nd's branch length:
+// every edge's length, kept or not, must be finite and below 9.2e9 in
+// magnitude. The root has no edge.
+func lengthErr(err error, nd *tree.Node) error {
+	if err != nil || nd.Parent == nil || !nd.HasLength {
+		return err
+	}
+	if math.IsNaN(nd.Length) || math.Abs(nd.Length) >= 9.2e9 {
+		return fmt.Errorf("bipart: branch length %v is not finite or not below 9.2e+09 in magnitude", nd.Length)
+	}
+	return nil
+}
+
 // sameExtraction fails t unless got/gotErr equal the reference's
 // want/wantErr: the same error text, or the same splits in the same
-// order with equal words, hashes and length bits.
+// order with equal words, hashes, length bits and quanta.
 func sameExtraction(t *testing.T, where string, got []Bipartition, gotErr error, want []Bipartition, wantErr error) {
 	t.Helper()
 	if (gotErr != nil) != (wantErr != nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
@@ -153,7 +174,7 @@ func sameExtraction(t *testing.T, where string, got []Bipartition, gotErr error,
 	for i := range want {
 		g, w := got[i], want[i]
 		if !slices.Equal(g.Words(), w.Words()) || g.Hash() != w.Hash() ||
-			math.Float64bits(g.Length) != math.Float64bits(w.Length) || g.HasLength != w.HasLength {
+			math.Float64bits(g.Length) != math.Float64bits(w.Length) || g.Quanta != w.Quanta || g.HasLength != w.HasLength {
 			t.Fatalf("%s: split %d = %v (len %v %v), reference %v (len %v %v)",
 				where, i, g, g.Length, g.HasLength, w, w.Length, w.HasLength)
 		}
@@ -195,8 +216,8 @@ func innerN(length float64, kids ...*tree.Node) *tree.Node {
 
 // TestExtractMatchesReferenceShapes holds Extract to the two-pass
 // reference on trees built with tree constructors: every root degree,
-// unary nodes, multifurcations, catalogue errors and partial coverage,
-// in every Extractor mode.
+// unary nodes, multifurcations, catalogue and length errors and partial
+// coverage, in every Extractor mode.
 func TestExtractMatchesReferenceShapes(t *testing.T) {
 	l := func(name string) *tree.Node { return leafN(name, float64(len(name))) }
 	shapes := []struct {
@@ -242,6 +263,12 @@ func TestExtractMatchesReferenceShapes(t *testing.T) {
 		{"complete 8", func() *tree.Node {
 			return innerN(-1, innerN(1, l("A"), l("B")), innerN(2, l("C"), l("D")),
 				innerN(3, innerN(4, l("E"), l("F")), innerN(5, l("a b"), l("it's"))))
+		}},
+		{"bad lengths: NaN pendant, then Inf and 1e10 internal", func() *tree.Node {
+			return innerN(-1, innerN(math.Inf(1), leafN("A", math.NaN()), l("B")), l("C"), innerN(1e10, l("D"), l("E")))
+		}},
+		{"bad length, then unknown leaf", func() *tree.Node {
+			return innerN(-1, innerN(9.3e9, l("A"), l("B")), l("Z"), l("C"))
 		}},
 		{"partial over wide", func() *tree.Node {
 			return innerN(-1, innerN(1, l("t07"), l("t59")), innerN(2, l("t03"), l("C")), innerN(3, l("t40"), l("t41")))

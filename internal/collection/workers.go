@@ -60,11 +60,6 @@ type Pool struct {
 	// Workers is the requested count, clamped by EffectiveWorkers to the
 	// source's size when it is known without a scan.
 	Workers int
-	// Ramp starts helper w only once 64·(w+1) trees have been read, not
-	// all at once. Until the first helper starts, the caller answers every
-	// item, so a pass of unknown size that turns out small runs on one
-	// worker in stream order, with no counting pass.
-	Ramp bool
 	// Skip, when set, elides the items it reports: read, not answered.
 	Skip func(idx int) bool
 }
@@ -101,27 +96,18 @@ func (p Pool) Run(ctx context.Context, src Source, start func(workers int), use 
 			failed.Store(true)
 		}
 	}
-	var jobs chan job // nil, so never ready for a send, until a helper starts
+	// A few items of slack per helper keep it busy while the caller
+	// answers one itself; with no helper, a send is never ready.
+	jobs := make(chan job, (workers-1)*4)
 	var wg sync.WaitGroup
-	running := 1 // workers started, the caller included
-	launch := func(upTo int) {
-		for ; running < upTo; running++ {
-			if jobs == nil {
-				// A few items of slack per helper keep it busy while the
-				// caller answers one itself.
-				jobs = make(chan job, (workers-1)*4)
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := range jobs {
+				answer(w, j)
 			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for j := range jobs {
-					answer(w, j)
-				}
-			}(running)
-		}
-	}
-	if !p.Ramp {
-		launch(workers)
+		}(w)
 	}
 
 	var readErr, stopped error
@@ -141,9 +127,6 @@ func (p Pool) Run(ctx context.Context, src Source, start func(workers int), use 
 			break
 		}
 		idx := len(dispatched)
-		if p.Ramp {
-			launch(EffectiveWorkers(workers, idx+1))
-		}
 		skipped := p.Skip != nil && p.Skip(idx)
 		dispatched = append(dispatched, !skipped)
 		if skipped {
@@ -155,9 +138,7 @@ func (p Pool) Run(ctx context.Context, src Source, start func(workers int), use 
 			answer(0, job{idx, it})
 		}
 	}
-	if jobs != nil {
-		close(jobs)
-	}
+	close(jobs)
 	wg.Wait()
 
 	first := -1

@@ -52,7 +52,6 @@ func TestPoolOneWorkerRunsOnCaller(t *testing.T) {
 	}{
 		{"clamped by size", Pool{Workers: 4}, poolText(t, 40)},
 		{"one requested", Pool{Workers: 1}, struct{ Source }{poolText(t, 400)}},
-		{"ramp below 128 trees", Pool{Workers: 4, Ramp: true}, struct{ Source }{poolText(t, 127)}},
 	} {
 		caller, before := goid(), runtime.NumGoroutine()
 		answered := 0

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"sync/atomic"
+
 	"repro/internal/bfhtable"
 	"repro/internal/bipart"
 	"repro/internal/taxa"
@@ -45,7 +49,7 @@ func (o BuildOptions) shardCount(workers int) int {
 type buildAccum struct {
 	tbl      store
 	weighted bool
-	lenSum   float64
+	lenSum   int64
 	trees    int
 	bips     int
 	_        [64]byte // lenSum is written per split: keep it off the next worker's cache lines
@@ -61,16 +65,41 @@ func (a *buildAccum) add(bs []bipart.Bipartition) {
 	a.trees++
 	a.bips += len(bs)
 	for _, b := range bs {
-		length := 0.0
-		if b.HasLength {
-			length = b.Length
-		} else {
+		if !b.HasLength {
 			a.weighted = false
 		}
-		a.tbl.Add(b.Words(), uint32(b.Size()), length)
-		a.lenSum += length
+		a.tbl.Add(b.Words(), uint32(b.Size()), b.Quanta)
+		a.lenSum += b.Quanta
 	}
 }
+
+// lenBudget is Σ|length| in quanta over all a hash has folded in or out,
+// which bounds every stored length sum: a fold that would take it past
+// int64 is refused, so no sum wraps. Build workers share it, hence atomic.
+type lenBudget struct{ used atomic.Uint64 }
+
+// take reserves n more quanta, or nothing when that would pass MaxInt64.
+func (b *lenBudget) take(n uint64) error {
+	for old := b.used.Load(); n <= math.MaxInt64-old; old = b.used.Load() {
+		if b.used.CompareAndSwap(old, old+n) {
+			return nil
+		}
+	}
+	return fmt.Errorf("summed |branch length| passes %.3g, the int64 range of 1e-9 quanta", math.MaxInt64/bipart.QuantaPerUnit)
+}
+
+// absLengths is Σ|Quanta| over bs, or MaxUint64 once it passes MaxInt64.
+func absLengths(bs []bipart.Bipartition) uint64 {
+	var abs uint64
+	for _, b := range bs {
+		if abs += absQ(b.Quanta); abs > math.MaxInt64 {
+			return math.MaxUint64
+		}
+	}
+	return abs
+}
+
+func absQ(q int64) uint64 { return uint64(max(q, -q)) } // |MinInt64| too
 
 // finishBuild merges every worker accumulator into the hash,
 // shard-parallel. A merged succinct table is frozen here — the one point

@@ -60,6 +60,7 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 	}
 	ctx, span := obs.StartSpan(opts.Context, SpanBuild)
 	defer span.End()
+	h := &FreqHash{taxa: ts, weighted: true}
 	var accums []*buildAccum
 	p := pool{
 		kind:            "reference",
@@ -67,7 +68,6 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 		taxa:            ts,
 		filter:          opts.Filter,
 		requireComplete: opts.RequireComplete,
-		ramp:            true,
 	}
 	_, err := p.run(ctx, r, func(workers int) {
 		backend, shards := opts.resolveBackendFor(ts.Len()), opts.shardCount(workers)
@@ -76,13 +76,15 @@ func Build(r collection.Source, ts *taxa.Set, opts BuildOptions) (*FreqHash, err
 			accums[w] = newBuildAccum(backend, ts, shards)
 		}
 	}, func(w, _ int, bs []bipart.Bipartition) error {
-		accums[w].add(bs)
-		return nil
+		err := h.lenAbs.take(absLengths(bs))
+		if err == nil {
+			accums[w].add(bs)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	h := &FreqHash{taxa: ts, weighted: true}
 	bips := h.finishBuild(accums)
 	if h.numTrees == 0 {
 		return nil, fmt.Errorf("core: reference collection is empty")
@@ -109,11 +111,14 @@ func BuildSplits(sets [][]bipart.Bipartition, ts *taxa.Set, opts BuildOptions) (
 	_, span := obs.StartSpan(opts.Context, SpanBuild)
 	defer span.End()
 	workers := EffectiveWorkers(opts.workers(), len(sets))
+	h := &FreqHash{taxa: ts, weighted: true}
 	acc := newBuildAccum(opts.resolveBackendFor(ts.Len()), ts, opts.shardCount(workers))
-	for _, bs := range sets {
+	for i, bs := range sets {
+		if err := h.lenAbs.take(absLengths(bs)); err != nil {
+			return nil, fmt.Errorf("core: reference tree %d: %w", i, err)
+		}
 		acc.add(bs)
 	}
-	h := &FreqHash{taxa: ts, weighted: true}
 	recordBuild(h, h.finishBuild([]*buildAccum{acc}))
 	annotateBuildSpan(span, h)
 	return h, nil

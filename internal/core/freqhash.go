@@ -13,7 +13,7 @@ import (
 
 // entry is the per-bipartition record of the BFH. Freq is the number of
 // reference trees containing the bipartition; LengthSum accumulates the
-// inducing edges' branch lengths for the weighted-RF variant; Size is the
+// inducing edges' branch lengths, in quanta, for the weighted-RF variant; Size is the
 // popcount of the canonical mask, kept so size-dependent variants
 // (information content) never need to decode keys. It is the open-addressing
 // table's record type so entries move between backends without conversion.
@@ -75,9 +75,9 @@ func ParseBackend(s string) (Backend, error) {
 // code that needs an engine-specific fast path (the query prober's fill,
 // snapshot writers) type-switches once per call, never per bipartition.
 type store interface {
-	Add(words []uint64, size uint32, length float64)
+	Add(words []uint64, size uint32, length int64)
 	AddEntry(words []uint64, e entry)
-	Dec(words []uint64, length float64) bool
+	Dec(words []uint64, length int64) bool
 	Lookup(words []uint64) (entry, bool)
 	Len() int
 	NumShards() int
@@ -86,7 +86,7 @@ type store interface {
 	FootprintBytes() int64
 	LoadFactor() float64
 	ProbeLengths(fn func(displacement int))
-	Totals() (sum uint64, lenSum float64)
+	Totals() (sum uint64, lenSum int64, lenAbs uint64)
 }
 
 // newStore returns an empty engine of backend b (already resolved, never
@@ -107,8 +107,9 @@ type FreqHash struct {
 	tbl  store
 	// sum is Σ_b freq[b] — the paper's sumBFHR.
 	sum uint64
-	// lenSum is Σ_b lengthSum[b], for the weighted variant's left term.
-	lenSum float64
+	// lenSum is Σ_b lengthSum[b] in quanta, for the weighted variant's left term.
+	lenSum int64
+	lenAbs lenBudget
 	// numTrees is r, the number of reference trees folded in.
 	numTrees int
 	// weighted records whether every indexed bipartition carried a length.
@@ -160,8 +161,8 @@ func (h *FreqHash) Weighted() bool { return h.weighted }
 // a different file, trees skipped by lenient ingest, different taxa —
 // disagrees with overwhelming probability. Checkpoint resume uses it to
 // refuse mixing results computed against different reference sets.
-// Deliberately excluded: lenSum (float accumulation order varies with
-// scheduling) and the backend choice (it does not affect results).
+// Deliberately excluded: lenSum, so existing epochs and checkpoints keep
+// their fingerprints, and the backend choice (it does not affect results).
 func (h *FreqHash) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -251,7 +252,7 @@ func (h *FreqHash) Entries(minFreq int) ([]Entry, error) {
 			Support:     float64(e.Freq) / float64(h.numTrees),
 		}
 		if e.Freq > 0 {
-			ent.MeanLength = e.LengthSum / float64(e.Freq)
+			ent.MeanLength = float64(e.LengthSum) / (bipart.QuantaPerUnit * float64(e.Freq))
 		}
 		out = append(out, ent)
 	})
@@ -296,8 +297,7 @@ func (h *FreqHash) KeySizes() []int {
 // NumShards returns the storage engine's shard count.
 func (h *FreqHash) NumShards() int { return h.tbl.NumShards() }
 
-// RangeShardRaw iterates one shard's live entries as raw mask words —
-// the merge path of the distributed failover (internal/distrib). The
+// RangeShardRaw iterates one shard's live entries as raw mask words. The
 // words slice is only valid during the call.
 func (h *FreqHash) RangeShardRaw(shard int, fn func(words []uint64, e entry) bool) {
 	h.tbl.RangeShard(shard, fn)

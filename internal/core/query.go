@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 
@@ -378,16 +379,17 @@ func (h *FreqHash) fold(bs []bipart.Bipartition, es []entry, hits int64, v Varia
 		// Left term: total reference length mass minus the mass of
 		// bipartitions matched by the query. Right term: each query
 		// bipartition's own length once per reference tree lacking it.
-		left := h.lenSum
-		right := 0.0
+		// Exact in 128-bit quanta, rounded once by the final division.
+		var num int128
+		num.addMul(h.lenSum, 1)
 		for i, b := range bs {
 			if !b.HasLength {
 				return 0, fmt.Errorf("query bipartition without branch length in weighted variant")
 			}
-			left -= es[i].LengthSum
-			right += b.Length * (r - float64(es[i].Freq))
+			num.addMul(es[i].LengthSum, -1)
+			num.addMul(b.Quanta, int64(h.numTrees)-int64(es[i].Freq))
 		}
-		return (left + right) / r, nil
+		return num.float64() / (bipart.QuantaPerUnit * r), nil
 	case Info:
 		// The weighted fold with each bipartition's information content
 		// in place of its branch length (see info.go).
@@ -427,4 +429,27 @@ func Best(results []Result) (Result, error) {
 		}
 	}
 	return best, nil
+}
+
+// int128 is a two's-complement 128-bit integer, the Weighted fold's
+// exact accumulator.
+type int128 struct{ hi, lo uint64 }
+
+// addMul adds x·y: the unsigned product of the two's-complement words,
+// less y·2⁶⁴ when x < 0 and x·2⁶⁴ when y < 0, is the signed product.
+func (a *int128) addMul(x, y int64) {
+	hi, lo := bits.Mul64(uint64(x), uint64(y))
+	hi -= uint64(x>>63)&uint64(y) + uint64(y>>63)&uint64(x)
+	var c uint64
+	a.lo, c = bits.Add64(a.lo, lo, 0)
+	a.hi += hi + c
+}
+
+// float64 rounds a to the nearest float64 when it fits in an int64, and
+// to within a few units in the last place otherwise.
+func (a int128) float64() float64 {
+	if int64(a.hi) == int64(a.lo)>>63 {
+		return float64(int64(a.lo))
+	}
+	return float64(int64(a.hi))*0x1p64 + float64(a.lo)
 }

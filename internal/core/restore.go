@@ -3,16 +3,11 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bfhtable"
 	"repro/internal/taxa"
 )
 
-// Hash reassembly from raw entries — the shard merge behind distributed
-// failover (internal/distrib). RangeShardRaw walks one hash; a Restorer
-// folds those raw (words, entry) pairs into a fresh hash on either
-// backend, so shards merge regardless of the engine either side runs.
-
-// RestoreSpec describes the hash being reassembled.
+// RestoreSpec describes a hash being reassembled from snapshot storage
+// (AdoptTable, AdoptSuccinct).
 type RestoreSpec struct {
 	// Taxa is the catalogue the mask words are encoded over (required).
 	Taxa *taxa.Set
@@ -23,57 +18,42 @@ type RestoreSpec struct {
 	// Backend selects the engine, with the same defaulting rules as
 	// BuildOptions.
 	Backend Backend
-	// HashShards overrides the table's shard count (default 1 for a
-	// restored table; restores are single-threaded folds).
-	HashShards int
 }
 
-// Restorer accumulates raw entries into a hash. Not safe for concurrent
-// use.
-type Restorer struct {
-	h  *FreqHash
-	nw int
-}
-
-// NewRestorer returns a restorer for the spec.
-func NewRestorer(spec RestoreSpec) (*Restorer, error) {
-	if spec.Taxa == nil {
-		return nil, fmt.Errorf("core: restore requires a taxon catalogue")
+// Merge folds two partial hashes over the same taxon catalogue into a new
+// one — the shard merge behind distributed failover (internal/distrib):
+// frequencies, length sums and tree counts add. The result keeps a's
+// backend and shard count whatever engine b runs, and is weighted only
+// if every input holding trees is. A succinct result is frozen, so its
+// dictionary covers the merged population.
+func Merge(a, b *FreqHash) (*FreqHash, error) {
+	if !a.taxa.Equal(b.taxa) {
+		return nil, fmt.Errorf("core: cannot merge hashes over different catalogues (%d vs %d taxa)", a.taxa.Len(), b.taxa.Len())
 	}
-	shards := spec.HashShards
-	if shards <= 0 {
-		shards = 1
-	}
-	b := BuildOptions{Backend: spec.Backend}.resolveBackendFor(spec.Taxa.Len())
 	h := &FreqHash{
-		taxa:     spec.Taxa,
-		tbl:      newStore(b, spec.Taxa, shards),
-		numTrees: spec.NumTrees,
-		weighted: spec.Weighted,
+		taxa:     a.taxa,
+		tbl:      newStore(a.Backend(), a.taxa, a.NumShards()),
+		numTrees: a.numTrees + b.numTrees,
+		weighted: true,
 	}
-	return &Restorer{h: h, nw: wordsPerKey(spec.Taxa)}, nil
-}
-
-// AddEntry folds one entry: a canonical mask as raw words plus its
-// aggregated record. Frequencies accumulate, so entries for the same
-// bipartition (e.g. from two merged shards) fold correctly.
-func (r *Restorer) AddEntry(words []uint64, e bfhtable.Entry) error {
-	if len(words) != r.nw {
-		return fmt.Errorf("core: restore entry has %d words, want %d", len(words), r.nw)
+	for _, src := range []*FreqHash{a, b} {
+		h.weighted = h.weighted && (src.weighted || src.numTrees == 0)
+		var err error
+		src.tbl.Range(func(words []uint64, e entry) bool {
+			if err = h.lenAbs.take(absQ(e.LengthSum)); err == nil {
+				h.tbl.AddEntry(words, e)
+				h.sum += uint64(e.Freq)
+				h.lenSum += e.LengthSum
+			}
+			return err == nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: merge: %w", err)
+		}
 	}
-	r.h.tbl.AddEntry(words, e)
-	r.h.sum += uint64(e.Freq)
-	r.h.lenSum += e.LengthSum
-	return nil
-}
-
-// Finish returns the reassembled hash. A restored succinct table is
-// frozen here so its shared-prefix dictionary is rebuilt over the full
-// reassembled population (merged shards arrive dictionary-free).
-func (r *Restorer) Finish() (*FreqHash, error) {
-	if r.h.numTrees <= 0 {
-		return nil, fmt.Errorf("core: restored hash has no trees")
+	if h.numTrees <= 0 {
+		return nil, fmt.Errorf("core: merged hash has no trees")
 	}
-	freeze(r.h.tbl)
-	return r.h, nil
+	freeze(h.tbl)
+	return h, nil
 }

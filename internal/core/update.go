@@ -21,33 +21,34 @@ func (h *FreqHash) AddTree(t *tree.Tree, filter bipart.Filter, requireComplete b
 	if err != nil {
 		return err
 	}
-	h.AddSplits(bs)
-	return nil
+	return h.AddSplits(bs)
 }
 
 // AddSplits is AddTree for a tree already reduced to its canonical split
 // set — the fold a distributed shard runs on the split words its
 // coordinator ships (internal/distrib). The hash copies what it keeps,
-// so bs may be reused once AddSplits returns.
-func (h *FreqHash) AddSplits(bs []bipart.Bipartition) {
+// so bs may be reused once AddSplits returns. It fails, changing nothing,
+// when the tree's lengths would pass the hash's length budget.
+func (h *FreqHash) AddSplits(bs []bipart.Bipartition) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if err := h.lenAbs.take(absLengths(bs)); err != nil {
+		return fmt.Errorf("core: adding a reference tree: %w", err)
+	}
 	for _, b := range bs {
-		length := 0.0
-		if b.HasLength {
-			length = b.Length
-		} else {
+		if !b.HasLength {
 			h.weighted = false
 		}
-		h.tbl.Add(b.Words(), uint32(b.Size()), length)
+		h.tbl.Add(b.Words(), uint32(b.Size()), b.Quanta)
 		h.sum++
-		h.lenSum += length
+		h.lenSum += b.Quanta
 	}
 	h.numTrees++
 	h.icTable, h.icSum = nil, 0
 	mRefTrees.Inc()
 	mBipartitionsHashed.Add(uint64(len(bs)))
 	mUniqueBipartitions.Set(float64(h.UniqueBipartitions()))
+	return nil
 }
 
 // RemoveTree subtracts a previously added reference tree (r decreases by
@@ -77,13 +78,12 @@ func (h *FreqHash) RemoveSplits(bs []bipart.Bipartition) error {
 			return fmt.Errorf("core: RemoveTree: bipartition %s was never in the hash", b)
 		}
 	}
+	if err := h.lenAbs.take(absLengths(bs)); err != nil {
+		return fmt.Errorf("core: RemoveTree: %w", err)
+	}
 	for _, b := range bs {
-		length := 0.0
-		if b.HasLength {
-			length = b.Length
-		}
-		h.tbl.Dec(b.Words(), length)
-		h.lenSum -= length
+		h.tbl.Dec(b.Words(), b.Quanta)
+		h.lenSum -= b.Quanta
 		h.sum--
 	}
 	h.numTrees--

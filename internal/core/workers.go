@@ -26,14 +26,13 @@ type pool struct {
 	filter          bipart.Filter
 	requireComplete bool
 	skip            func(idx int) bool // QueryOptions.Skip
-	ramp            bool               // collection.Pool.Ramp
 }
 
 // run is collection.Pool.Run with use(w, idx, bs) handed item idx's
 // splits, valid only during the call; a bad tree's error names its index.
 func (p pool) run(ctx context.Context, src collection.Source, start func(workers int), use func(w, idx int, bs []bipart.Bipartition) error) (dispatched []bool, err error) {
 	var exs []*bipart.Extractor
-	return collection.Pool{Workers: p.workers, Ramp: p.ramp, Skip: p.skip}.Run(ctx, src, func(workers int) {
+	return collection.Pool{Workers: p.workers, Skip: p.skip}.Run(ctx, src, func(workers int) {
 		exs = make([]*bipart.Extractor, workers)
 		for w := range exs {
 			exs[w] = &bipart.Extractor{

@@ -57,8 +57,9 @@ import (
 // echoes the worker's, so the coordinator's post-load probe refuses a
 // worker that speaks another version. A worker built before versioning
 // answers 0: it would silently drop the split words and report zero
-// splits, a wrong answer rather than an error.
-const Protocol = 1
+// splits, a wrong answer rather than an error. Version 2 carries branch
+// lengths as int64 quanta.
+const Protocol = 2
 
 // InitArgs announce the shared taxon catalogue to a worker.
 type InitArgs struct {
@@ -81,9 +82,10 @@ type LoadArgs struct {
 	// Words and Ends hold the chunk's splits, laid out as in QueryArgs.
 	Words []uint64
 	Ends  []int
-	// Lengths[j] is split j's branch length (in chunk order); bit j%64 of
-	// HasLength[j/64] reports whether split j has one.
-	Lengths   []float64
+	// Lengths[j] is split j's branch length in quanta (bipart.Quantize;
+	// in chunk order); bit j%64 of HasLength[j/64] reports whether split
+	// j has one.
+	Lengths   []int64
 	HasLength []uint64
 	// Seq is the coordinator's chunk sequence number (1-based,
 	// monotonically increasing across the load). It makes Load idempotent
@@ -143,7 +145,7 @@ func (a *LoadArgs) add(bs []bipart.Bipartition) {
 		if b.HasLength {
 			a.HasLength[j/64] |= 1 << (j % 64)
 		}
-		a.Lengths = append(a.Lengths, b.Length)
+		a.Lengths = append(a.Lengths, b.Quanta)
 	}
 	a.Words = bipart.AppendWords(a.Words, bs)
 	a.Ends = append(a.Ends, len(a.Words))
@@ -300,7 +302,7 @@ func (w *Worker) load(args LoadArgs, reply *LoadReply) error {
 			len(args.Lengths), len(args.HasLength), len(bs))
 	}
 	for j := range bs {
-		bs[j].Length = args.Lengths[j]
+		bs[j].Quanta, bs[j].Length = args.Lengths[j], float64(args.Lengths[j])/bipart.QuantaPerUnit
 		bs[j].HasLength = args.HasLength[j/64]>>(j%64)&1 != 0
 	}
 	if err := hitTrees(len(sets)); err != nil {
@@ -317,7 +319,9 @@ func (w *Worker) load(args LoadArgs, reply *LoadReply) error {
 		w.hash = h
 	} else {
 		for _, set := range sets {
-			w.hash.AddSplits(set)
+			if err := w.hash.AddSplits(set); err != nil {
+				return fmt.Errorf("distrib: reference chunk: %w", err)
+			}
 		}
 	}
 	if args.Seq != 0 {

@@ -177,7 +177,7 @@ func TestWorkerDirectErrors(t *testing.T) {
 	var lr LoadReply
 	// AB|CD over {A,B,C,D}: bit 0 (A) on the 0 side.
 	split := []uint64{0b1100}
-	if err := w.Load(LoadArgs{Words: split, Ends: []int{1}, Lengths: []float64{0}, HasLength: []uint64{0}}, &lr); err == nil {
+	if err := w.Load(LoadArgs{Words: split, Ends: []int{1}, Lengths: []int64{0}, HasLength: []uint64{0}}, &lr); err == nil {
 		t.Error("Load before Init should fail")
 	}
 	var qr QueryReply
@@ -191,7 +191,7 @@ func TestWorkerDirectErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The complement orientation puts the anchor taxon A on the 1 side.
-	if err := w.Load(LoadArgs{Words: []uint64{0b0011}, Ends: []int{1}, Lengths: []float64{0}, HasLength: []uint64{0}}, &lr); err == nil {
+	if err := w.Load(LoadArgs{Words: []uint64{0b0011}, Ends: []int{1}, Lengths: []int64{0}, HasLength: []uint64{0}}, &lr); err == nil {
 		t.Error("non-canonical reference split should fail")
 	}
 	if err := w.Load(LoadArgs{Words: split, Ends: []int{1}}, &lr); err == nil {

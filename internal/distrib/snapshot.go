@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/bfhsnap"
-	"repro/internal/bfhtable"
 	"repro/internal/core"
 	"repro/internal/taxa"
 )
@@ -177,7 +175,7 @@ func (w *Worker) adopt(args AdoptArgs, reply *LoadReply) error {
 		w.taxa = orphan.Taxa()
 		w.hash = orphan
 	} else {
-		merged, err := mergeHashes(w.hash, orphan)
+		merged, err := core.Merge(w.hash, orphan)
 		if err != nil {
 			return err
 		}
@@ -192,53 +190,6 @@ func (w *Worker) adopt(args AdoptArgs, reply *LoadReply) error {
 		"shard", args.ShardID, "bytes", len(args.Data),
 		"shard_trees", reply.ShardTrees, "shard_unique", reply.ShardUnique)
 	return nil
-}
-
-// mergeHashes folds two partial frequency hashes over the same taxon
-// catalogue into one: frequencies add, tree counts add, and the result
-// keeps a's backend. This is the shard-merge primitive
-// behind failover.
-func mergeHashes(a, b *core.FreqHash) (*core.FreqHash, error) {
-	an, bn := a.Taxa().Names(), b.Taxa().Names()
-	if len(an) != len(bn) {
-		return nil, fmt.Errorf("distrib: cannot merge shards over different catalogues (%d vs %d taxa)", len(an), len(bn))
-	}
-	for i := range an {
-		if an[i] != bn[i] {
-			return nil, fmt.Errorf("distrib: cannot merge shards: catalogues disagree at position %d (%q vs %q)", i, an[i], bn[i])
-		}
-	}
-	// Weighted means every bipartition carried a length, so it holds
-	// for the merge only if it holds for every shard that holds trees.
-	weighted := true
-	for _, h := range []*core.FreqHash{a, b} {
-		if h.NumTrees() > 0 {
-			weighted = weighted && h.Weighted()
-		}
-	}
-	rest, err := core.NewRestorer(core.RestoreSpec{
-		Taxa:       a.Taxa(),
-		NumTrees:   a.NumTrees() + b.NumTrees(),
-		Weighted:   weighted,
-		Backend:    a.Backend(),
-		HashShards: a.NumShards(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range []*core.FreqHash{a, b} {
-		for s := 0; s < h.NumShards(); s++ {
-			var addErr error
-			h.RangeShardRaw(s, func(words []uint64, e bfhtable.Entry) bool {
-				addErr = rest.AddEntry(words, e)
-				return addErr == nil
-			})
-			if addErr != nil {
-				return nil, addErr
-			}
-		}
-	}
-	return rest.Finish()
 }
 
 // SaveSnapshotsContext persists the cluster's loaded reference collection
@@ -274,11 +225,10 @@ func (c *Coordinator) SaveSnapshotsContext(ctx context.Context, dir string) (int
 		Digest:      c.digest,
 		Weighted:    true,
 	}
-	// Shard count and weighted totals are worker-side facts;
+	// Shard count and the weighted flag are worker-side facts;
 	// each writer folds its part's header into the manifest as it streams
 	// (PublishWorkerEpoch runs writers before serializing MANIFEST). Every
 	// part holds trees, and the epoch is weighted only if each part is.
-	var lenSum float64
 	writers := make([]func(io.Writer) error, 0, len(workers))
 	for _, i := range workers {
 		i := i
@@ -293,8 +243,6 @@ func (c *Coordinator) SaveSnapshotsContext(ctx context.Context, dir string) (int
 			}
 			man.Shards = hdr.Shards
 			man.Weighted = man.Weighted && hdr.Weighted
-			lenSum += hdr.LenSum
-			man.LenSumBits = math.Float64bits(lenSum)
 			if _, err := w.Write(reply.Data); err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bfhsnap"
@@ -290,12 +291,65 @@ func TestMergeHashesWeightedNeedsEveryShard(t *testing.T) {
 		{"plain+weighted", plain, weighted, false},
 		{"weighted+weighted", weighted, weighted, true},
 	} {
-		m, err := mergeHashes(c.a, c.b)
+		m, err := core.Merge(c.a, c.b)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if m.Weighted() != c.want {
 			t.Errorf("%s: merged Weighted() = %v, want %v", c.name, m.Weighted(), c.want)
+		}
+	}
+}
+
+// TestMergeHashesMatchesSingleBuild: failover merges (core.Merge) a dead worker's
+// shard into a survivor's; with 17-digit random lengths the merged hash
+// still equals one build of both shards' trees, length sum and Weighted
+// answers bit for bit, although it added each split's lengths in another
+// order.
+func TestMergeHashesMatchesSingleBuild(t *testing.T) {
+	trees, ts := testCollection(33, 30, 80)
+	rng := rand.New(rand.NewSource(34))
+	for _, tr := range trees {
+		tr.Postorder(func(nd *tree.Node) { nd.Length, nd.HasLength = rng.Float64(), true })
+	}
+	for _, b := range []core.Backend{core.BackendOpenAddressing, core.BackendSuccinct} {
+		build := func(trees []*tree.Tree) *core.FreqHash {
+			h, err := core.Build(collection.FromTrees(trees), ts, core.BuildOptions{RequireComplete: true, Workers: 1, Backend: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
+		// Odd and even trees, as round-robin chunks of one would land.
+		var odd, even []*tree.Tree
+		for i, tr := range trees {
+			if i%2 == 0 {
+				even = append(even, tr)
+			} else {
+				odd = append(odd, tr)
+			}
+		}
+		m, err := core.Merge(build(odd), build(even))
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := build(trees)
+		if err := bfhsnap.VerifyAgainst(m, whole); err != nil {
+			t.Fatalf("%v: merged vs single build: %v", b, err)
+		}
+		opts := core.QueryOptions{Variant: core.Weighted, RequireComplete: true}
+		got, err := m.AverageRF(collection.FromTrees(trees[:20]), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := whole.AverageRF(collection.FromTrees(trees[:20]), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i].AvgRF) != math.Float64bits(want[i].AvgRF) {
+				t.Fatalf("%v: query %d = %v, single build %v", b, i, got[i].AvgRF, want[i].AvgRF)
+			}
 		}
 	}
 }

@@ -287,6 +287,9 @@ func TestQueryValidation(t *testing.T) {
 	// distributed one requires complete coverage).
 	unknown := strings.Replace(q[0], ts.Name(0), "stranger", 1)
 	incomplete := fmt.Sprintf("((%s,%s),(%s,%s),%s);", ts.Name(0), ts.Name(1), ts.Name(2), ts.Name(3), ts.Name(4))
+	// A complete tree with one non-finite branch length.
+	nan := fmt.Sprintf("((%s:1,%s:1):NaN,(%s:1,%s:1):1,(%s:1,(%s:1,(%s:1,%s:1):1):1):1);",
+		ts.Name(0), ts.Name(1), ts.Name(2), ts.Name(3), ts.Name(4), ts.Name(5), ts.Name(6), ts.Name(7))
 	// A valid body to append bytes to; encoding/json's trailing newline
 	// and other whitespace stay acceptable.
 	validJSON, err := json.Marshal(map[string]any{"collection": "refs", "trees": q})
@@ -319,6 +322,7 @@ func TestQueryValidation(t *testing.T) {
 		{"unknown taxon", "", map[string]any{"collection": "refs", "trees": []string{unknown}}, 400, "not in taxon catalogue"},
 		{"distributed unknown taxon", "", map[string]any{"collection": "dist", "trees": []string{q[0], unknown}}, 400, "not in taxon catalogue"},
 		{"distributed incomplete tree", "", map[string]any{"collection": "dist", "trees": []string{incomplete}}, 400, "complete coverage"},
+		{"non-finite length", "", map[string]any{"collection": "refs", "variant": "weighted", "trees": []string{nan}}, 400, "tree 0:"},
 		{"trailing junk", "", valid + "junk", 400, "trailing data after JSON body"},
 		{"trailing brackets", "", valid + "]]]", 400, "trailing data after JSON body"},
 		{"second object", "", valid + `{"collection":"other"}`, 400, "trailing data after JSON body"},

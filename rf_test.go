@@ -196,3 +196,17 @@ func TestEmptyInputs(t *testing.T) {
 		t.Error("empty reference should fail")
 	}
 }
+
+// TestNonFiniteReferenceLengthRejected: a reference edge of length NaN,
+// Inf or -Inf fails the run with an error naming the tree, instead of a
+// NaN Weighted answer.
+func TestNonFiniteReferenceLengthRejected(t *testing.T) {
+	queries := []string{"((A:1,B:1):1,C:1,(D:1,E:1):1);"}
+	for _, bad := range []string{"NaN", "Inf", "-Inf"} {
+		refs := []string{"((A:1,B:1):1,C:1,(D:1,E:1):1);", "((A:1,C:1):" + bad + ",B:1,(D:1,E:1):1);"}
+		res, err := AverageRFNewick(queries, refs, Config{Variant: VariantWeighted, Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), "tree 1:") || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("reference length %s: %v, %v; want an error naming tree 1", bad, res, err)
+		}
+	}
+}
