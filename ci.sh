@@ -66,7 +66,7 @@ echo "== go test -race (distrib fault tolerance) =="
 # The failover, retry, and health-loop paths are the concurrency-heavy
 # new surface; run them explicitly under the race detector (not -short,
 # so nothing in them can quietly skip).
-go test -race -run 'Failover|PartialResults|Retry|Health|Adopt|LoadSeq|WorkerDies|Traced|SplitWire|Protocol' \
+go test -race -run 'Failover|PartialResults|Retry|Health|Adopt|LoadSeq|WorkerDies|Traced|SplitWire|Protocol|SnapshotLoad' \
   ./internal/distrib
 
 echo "== chaos smoke (seeded fault schedules under -race) =="

@@ -77,19 +77,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func readFirstTree(path string) string {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	t, err := newick.NewReader(f).Read()
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	return newick.String(t, newick.DefaultWriteOptions())
-}
-
 func pairwise(aPath, bPath string) {
 	a, err := collection.OpenFile(aPath)
 	if err != nil {

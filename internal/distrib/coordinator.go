@@ -491,7 +491,7 @@ func (c *Coordinator) LoadContext(ctx context.Context, refs collection.Source, t
 		return fmt.Errorf("distrib: workers report %d trees, loaded %d", c.r, total)
 	}
 	c.fp = fingerprint(ts, c.r, c.sum, c.digest)
-	if err := c.checkpoint(ctx); err != nil {
+	if err := c.checkpoint(ctx, nil); err != nil {
 		return err
 	}
 	slog.Info("references loaded", "trees", total, "workers", n, "sum", c.sum)
@@ -525,8 +525,10 @@ func (c *Coordinator) probeTotals(ctx context.Context) error {
 
 // checkpoint snapshots every non-empty shard so a dead worker's partition
 // can be re-dispatched without re-shipping or re-parsing reference trees.
-// Skipped when failover is disabled.
-func (c *Coordinator) checkpoint(ctx context.Context) error {
+// have[i], when set, is worker i's shard already serialized (the part
+// file a snapshot load restored it from) and is kept without a Snapshot
+// RPC; have may be nil. Skipped when failover is disabled.
+func (c *Coordinator) checkpoint(ctx context.Context, have [][]byte) error {
 	if c.NoFailover {
 		return nil
 	}
@@ -536,14 +538,21 @@ func (c *Coordinator) checkpoint(ctx context.Context) error {
 		if s.trees == 0 {
 			continue // an empty shard needs no failover
 		}
-		var reply SnapshotReply
-		if err := c.call(ctx, i, "Snapshot", SnapshotArgs{}, &reply); err != nil {
-			return fmt.Errorf("distrib: checkpointing worker %d: %w", i, err)
+		var data []byte
+		if i < len(have) {
+			data = have[i]
+		}
+		if data == nil {
+			var reply SnapshotReply
+			if err := c.call(ctx, i, "Snapshot", SnapshotArgs{}, &reply); err != nil {
+				return fmt.Errorf("distrib: checkpointing worker %d: %w", i, err)
+			}
+			data = reply.Data
 		}
 		c.mu.Lock()
-		s.snapshot = reply.Data
+		s.snapshot = data
 		c.mu.Unlock()
-		slog.Debug("shard checkpointed", "worker", s.addr, "bytes", len(reply.Data), "trees", reply.Trees)
+		slog.Debug("shard checkpointed", "worker", s.addr, "bytes", len(data), "trees", s.trees)
 	}
 	return nil
 }

@@ -8,9 +8,11 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/bfhsnap"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/taxa"
 )
 
@@ -261,9 +263,12 @@ func (c *Coordinator) SaveSnapshotsContext(ctx context.Context, dir string) (int
 // LoadSnapshotContext restores the cluster from the current worker-layout
 // epoch under dir, installing one part per worker (parts beyond the
 // worker count are merged onto workers round-robin; workers beyond the
-// part count start as empty shards). Workers that share
-// the coordinator's filesystem stream the part files directly; others
-// get the bytes over RPC. Replaces any previously loaded references.
+// part count start as empty shards). Workers restore concurrently, one
+// goroutine each. Workers that share the coordinator's filesystem stream
+// the part files directly; others get the bytes over RPC. A worker
+// restored from exactly one part keeps that part's bytes as its failover
+// checkpoint, so only workers that merged extra parts are snapshotted
+// over RPC. Replaces any previously loaded references.
 func (c *Coordinator) LoadSnapshotContext(ctx context.Context, dir string) error {
 	if c.NumWorkers() == 0 {
 		return fmt.Errorf("distrib: no workers")
@@ -291,36 +296,47 @@ func (c *Coordinator) LoadSnapshotContext(ctx context.Context, dir string) error
 	if err != nil {
 		return fmt.Errorf("distrib: epoch %d catalogue: %w", cur, err)
 	}
-	c.taxa = ts
-	n := c.NumWorkers()
+	paths := make([]string, len(man.Parts))
 	for p, part := range man.Parts {
-		path, err := filepath.Abs(store.PartPath(cur, part))
-		if err != nil {
+		if paths[p], err = filepath.Abs(store.PartPath(cur, part)); err != nil {
 			return err
 		}
-		target := p % n
-		var reply LoadReply
-		if p < n {
-			// First part on this worker: replace its shard. Try the shared
-			// filesystem first; on failure re-send with the bytes inline.
-			if err := c.call(ctx, target, "Restore", RestoreArgs{Path: path}, &reply); err != nil {
-				data, rerr := readPartBytes(path)
-				if rerr != nil {
-					return fmt.Errorf("distrib: restoring worker %d: %w", target, err)
-				}
-				if err := c.call(ctx, target, "Restore", RestoreArgs{Data: data}, &reply); err != nil {
-					return fmt.Errorf("distrib: restoring worker %d: %w", target, err)
-				}
-			}
-		} else {
-			// More parts than workers: fold the extras in round-robin.
-			data, err := readPartBytes(path)
+	}
+	c.taxa = ts
+	n := c.NumWorkers()
+	// The old checkpoints describe shards that are about to be replaced.
+	c.mu.Lock()
+	for _, s := range c.slots {
+		s.snapshot = nil
+	}
+	c.mu.Unlock()
+	// Worker t takes parts t, t+n, t+2n, ... in order and stops at its
+	// first failed part. Every part below the lowest-numbered failure is
+	// tried, so that failure is reported whichever worker hit it first.
+	errs := make([]error, len(paths))
+	have := make([][]byte, n)
+	var wg sync.WaitGroup
+	for t := 0; t < min(n, len(paths)); t++ {
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			// The span is this goroutine's own, so the retry hook's SetAttr
+			// never touches a span another goroutine owns.
+			rctx, span := obs.StartSpan(ctx, "rpc.restore")
+			defer span.End()
+			span.SetAttr("worker", c.slot(t).addr)
+			data, p, err := c.restoreParts(rctx, t, paths, n)
 			if err != nil {
-				return err
+				errs[p] = err
+				span.SetAttr("error", err.Error())
 			}
-			if err := c.call(ctx, target, "Adopt", AdoptArgs{ShardID: -1 - p, Data: data}, &reply); err != nil {
-				return fmt.Errorf("distrib: merging part %d onto worker %d: %w", p, target, err)
-			}
+			have[t] = data
+		}(t)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	// Workers past the last part start as empty shards on the epoch's
@@ -349,12 +365,52 @@ func (c *Coordinator) LoadSnapshotContext(ctx context.Context, dir string) error
 	if man.Fingerprint != 0 && c.fp != man.Fingerprint {
 		return fmt.Errorf("distrib: restored fingerprint %016x, epoch %d declares %016x", c.fp, cur, man.Fingerprint)
 	}
-	if err := c.checkpoint(ctx); err != nil {
+	if err := c.checkpoint(ctx, have); err != nil {
 		return err
 	}
 	slog.Info("cluster restored from snapshot", "dir", dir, "epoch", cur,
 		"parts", len(man.Parts), "trees", c.r)
 	return nil
+}
+
+// restoreParts installs worker t's parts (t, t+n, t+2n, ... of paths):
+// the first replaces its shard, the rest merge onto it in order. On
+// failure it returns the part that failed. When the worker holds exactly
+// one part and failover is on, it returns that part's bytes: they are
+// the worker's shard serialized, and so its checkpoint.
+func (c *Coordinator) restoreParts(ctx context.Context, t int, paths []string, n int) ([]byte, int, error) {
+	// First part on this worker: replace its shard. Try the shared
+	// filesystem first; on failure re-send with the bytes inline.
+	var data []byte
+	var reply LoadReply
+	if err := c.call(ctx, t, "Restore", RestoreArgs{Path: paths[t]}, &reply); err != nil {
+		var rerr error
+		if data, rerr = readPartBytes(paths[t]); rerr != nil {
+			return nil, t, fmt.Errorf("distrib: restoring worker %d: %w", t, err)
+		}
+		if err := c.call(ctx, t, "Restore", RestoreArgs{Data: data}, &reply); err != nil {
+			return nil, t, fmt.Errorf("distrib: restoring worker %d: %w", t, err)
+		}
+	}
+	if t+n >= len(paths) {
+		if data == nil && !c.NoFailover {
+			// Should the coordinator fail to read the file the worker
+			// just restored from, checkpoint takes a Snapshot RPC instead.
+			data, _ = readPartBytes(paths[t])
+		}
+		return data, 0, nil
+	}
+	// More parts than workers: fold the extras in round-robin.
+	for p := t + n; p < len(paths); p += n {
+		data, err := readPartBytes(paths[p])
+		if err != nil {
+			return nil, p, err
+		}
+		if err := c.call(ctx, t, "Adopt", AdoptArgs{ShardID: -1 - p, Data: data}, &reply); err != nil {
+			return nil, p, fmt.Errorf("distrib: merging part %d onto worker %d: %w", p, t, err)
+		}
+	}
+	return nil, 0, nil
 }
 
 func readPartBytes(path string) ([]byte, error) {

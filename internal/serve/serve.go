@@ -12,6 +12,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -208,13 +209,41 @@ func parseVariant(s string) (core.Variant, error) {
 	}
 }
 
-// reply writes a JSON response and counts it in bfhrf_requests_total.
+// replyBuf is one response's encode buffer and the encoder that fills
+// it, pooled so that a reply allocates nothing of its own.
+type replyBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var replyBufs = sync.Pool{New: func() any {
+	b := new(replyBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+// maxPooledReply caps the buffers the pool keeps, so one huge answer
+// does not pin its memory for good.
+const maxPooledReply = 64 << 10
+
+// reply writes a JSON response and counts it in bfhrf_requests_total
+// under the status actually sent. The body is encoded before the status
+// goes out, so a body that cannot be encoded (a NaN, say) becomes a 500
+// with an error body instead of a 200 with an empty one.
 func reply(w http.ResponseWriter, code int, body any) {
+	b := replyBufs.Get().(*replyBuf)
+	b.buf.Reset()
+	if err := b.enc.Encode(body); err != nil {
+		code = http.StatusInternalServerError
+		b.enc.Encode(errorResponse{Error: "serve: encoding response: " + err.Error()}) //nolint:errcheck — a string always encodes
+	}
 	requestsTotal(code).Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(body) //nolint:errcheck — a dead client is its own problem
+	w.Write(b.buf.Bytes()) //nolint:errcheck — a dead client is its own problem
+	if b.buf.Cap() <= maxPooledReply {
+		replyBufs.Put(b)
+	}
 }
 
 // replyErr writes an error body.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -345,6 +346,32 @@ func TestQueryValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
 		t.Errorf("GET /v1/query: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestReplyUnencodableBody: an answer that JSON cannot carry (a NaN)
+// goes out as a counted 500 with an error body, not as a 200 with an
+// empty one; the next reply from the pool is whole again.
+func TestReplyUnencodableBody(t *testing.T) {
+	ok, failed := requestsTotal(http.StatusOK).Value(), requestsTotal(http.StatusInternalServerError).Value()
+	rec := httptest.NewRecorder()
+	reply(rec, http.StatusOK, queryResponse{Collection: "refs", Coverage: math.NaN()})
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError ||
+		!strings.Contains(e.Error, "NaN") {
+		t.Errorf("NaN body: status %d, body %q (%v); want 500 with an error naming the NaN", rec.Code, rec.Body, err)
+	}
+	if got := requestsTotal(http.StatusInternalServerError).Value() - failed; got != 1 {
+		t.Errorf("500 counter moved by %d, want 1", got)
+	}
+	if got := requestsTotal(http.StatusOK).Value() - ok; got != 0 {
+		t.Errorf("200 counter moved by %d, want 0", got)
+	}
+	rec = httptest.NewRecorder()
+	reply(rec, http.StatusOK, queryResponse{Collection: "refs", Coverage: 1})
+	var q queryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil || rec.Code != http.StatusOK || q.Coverage != 1 {
+		t.Errorf("finite body: status %d, body %q (%v)", rec.Code, rec.Body, err)
 	}
 }
 
